@@ -18,6 +18,24 @@ pub fn flatten_mask(mask: &ModelMask) -> Vec<f32> {
     out
 }
 
+/// Reassembles a [`ModelMask`] shaped like `layout` from its flat 0/1
+/// vector (inverse of [`flatten_mask`]).
+///
+/// # Panics
+///
+/// Panics if `flat` does not hold exactly the layout's entry count.
+pub(crate) fn unflatten_mask(layout: &ModelMask, flat: &[f32]) -> ModelMask {
+    assert_eq!(flat.len(), layout.total_count(|_| true), "flat mask does not match layout");
+    let mut mask = layout.clone();
+    let mut rest = flat;
+    for t in mask.tensors_mut() {
+        let (head, tail) = rest.split_at(t.len());
+        t.data_mut().copy_from_slice(head);
+        rest = tail;
+    }
+    mask
+}
+
 /// Sample-count-weighted FedAvg over flat parameter vectors.
 ///
 /// # Panics

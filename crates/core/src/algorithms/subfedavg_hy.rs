@@ -155,10 +155,12 @@ impl FederatedAlgorithm for SubFedAvgHy {
                     &states[i].unstructured,
                     out.val_acc,
                 );
-                // Gate boundary: both tracks' Δ must live in [0, 1].
+                // Gate boundary: each track's computed Δ must live in [0, 1].
                 invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                    invariants::check_hamming_domain(decision.structured.mask_distance)?;
-                    invariants::check_hamming_domain(decision.unstructured.mask_distance)
+                    [decision.structured.mask_distance, decision.unstructured.mask_distance]
+                        .into_iter()
+                        .flatten()
+                        .try_for_each(invariants::check_hamming_domain)
                 });
                 let mask_changed = step.gate.structured_fired || step.gate.unstructured_fired;
                 states[i] = ClientState {

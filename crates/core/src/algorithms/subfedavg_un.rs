@@ -23,10 +23,10 @@
 //! client masks) round-trips through [`crate::checkpoint::Checkpoint`].
 
 use super::common::{apply_flat_mask, kept_count, record_round};
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::{
-    flatten_mask, invariants, subfedavg_aggregate, train_client_ws, wire, FederatedAlgorithm,
-    Federation, History,
+    flatten_mask, invariants, subfedavg_aggregate, train_client_ws, unflatten_mask, wire,
+    FederatedAlgorithm, Federation, History,
 };
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes};
 use subfed_metrics::flops;
@@ -138,40 +138,45 @@ impl SubFedAvgUn {
     /// history restarts — only the *training* trajectory is guaranteed to
     /// continue exactly (verified by the resume test).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint does not match the federation's model size
-    /// or client count.
-    pub fn restore(&mut self, ckpt: &Checkpoint) {
-        let template = self.fed.build_model();
-        let num_params = template.num_params();
-        assert_eq!(ckpt.global.len(), num_params, "checkpoint model size mismatch");
-        assert_eq!(
-            ckpt.client_masks.len(),
-            self.fed.num_clients(),
-            "checkpoint client count mismatch"
-        );
-        let ones = ModelMask::ones_for(&template);
-        let masks: Vec<ModelMask> = ckpt
+    /// [`CheckpointError::ModelSizeMismatch`],
+    /// [`CheckpointError::ClientCountMismatch`] or
+    /// [`CheckpointError::MaskLengthMismatch`] when the checkpoint does not
+    /// fit this federation; the current state is then left untouched.
+    #[must_use = "a dropped Result hides a checkpoint that did not fit"]
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+        let layout = ModelMask::ones_for(&self.fed.build_model());
+        let num_params = layout.total_count(|_| true);
+        if ckpt.global.len() != num_params {
+            return Err(CheckpointError::ModelSizeMismatch {
+                expected: num_params,
+                got: ckpt.global.len(),
+            });
+        }
+        if ckpt.client_masks.len() != self.fed.num_clients() {
+            return Err(CheckpointError::ClientCountMismatch {
+                expected: self.fed.num_clients(),
+                got: ckpt.client_masks.len(),
+            });
+        }
+        if let Some((client, flat)) =
+            ckpt.client_masks.iter().enumerate().find(|(_, flat)| flat.len() != num_params)
+        {
+            return Err(CheckpointError::MaskLengthMismatch {
+                client,
+                expected: num_params,
+                got: flat.len(),
+            });
+        }
+        let masks = ckpt.client_masks.iter().map(|flat| unflatten_mask(&layout, flat)).collect();
+        let local_flats = ckpt
             .client_masks
             .iter()
             .map(|flat| {
-                let mut m = ones.clone();
-                let mut offset = 0;
-                for t in m.tensors_mut() {
-                    let len = t.len();
-                    t.data_mut().copy_from_slice(&flat[offset..offset + len]);
-                    offset += len;
-                }
-                m
-            })
-            .collect();
-        let local_flats: Vec<Vec<f32>> = masks
-            .iter()
-            .map(|m| {
-                let mut flat = ckpt.global.clone();
-                apply_flat_mask(&mut flat, &flatten_mask(m));
-                flat
+                let mut local = ckpt.global.clone();
+                apply_flat_mask(&mut local, flat);
+                local
             })
             .collect();
         self.state = Some(RunState {
@@ -183,6 +188,7 @@ impl SubFedAvgUn {
             cum_bytes: 0,
             history: History::new(),
         });
+        Ok(())
     }
 
     fn ensure_state(&mut self) -> &mut RunState {
@@ -287,18 +293,18 @@ impl SubFedAvgUn {
             fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
             // Pruning decision from the two weight snapshots.
             let prune_span = fed.tracer().span();
-            let mut model_fe = fed.build_model();
-            model_fe.load_flat(&out.first_epoch_flat);
-            let mut model_le = fed.build_model();
-            model_le.load_flat(&out.final_flat);
-            let (new_mask, decision) =
-                controller.step_explained(&model_fe, &model_le, &state.masks[i], out.val_acc);
+            let (new_mask, decision) = controller.step_explained_flat(
+                &out.first_epoch_flat,
+                &out.final_flat,
+                &state.masks[i],
+                out.val_acc,
+            );
             // Gate boundary: the decision's measurements must live in
             // their domains. (A non-finite accuracy is tolerated — the
-            // controller is NaN-safe and holds the gate — so only Δ is
-            // enforced here.)
+            // controller is NaN-safe and holds the gate — so only a
+            // computed Δ is enforced here.)
             invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                invariants::check_hamming_domain(decision.mask_distance)
+                decision.mask_distance.map_or(Ok(()), invariants::check_hamming_domain)
             });
             let mut mask_changed = false;
             if let Some(new_mask) = new_mask {
@@ -572,7 +578,7 @@ mod tests {
         assert_eq!(mid.round, 3);
 
         let mut second = SubFedAvgUn::with_controller(tiny_federation(6, 4), controller);
-        second.restore(&mid);
+        second.restore(&mid).expect("checkpoint fits the federation");
         let resumed_history = second.resume();
         let final_ckpt = second.checkpoint();
 
@@ -590,6 +596,60 @@ mod tests {
         let ckpt = algo.checkpoint();
         let restored = Checkpoint::decode(&ckpt.encode()).unwrap();
         assert_eq!(restored, ckpt);
+    }
+
+    /// A checkpoint of a 2-round run on the 4-client test federation.
+    fn valid_checkpoint() -> Checkpoint {
+        run_with_target(0.5, 2).0.checkpoint()
+    }
+
+    /// Restores `ckpt` into a fresh 4-client run, returning the error.
+    fn restore_err(ckpt: &Checkpoint) -> CheckpointError {
+        let mut algo = SubFedAvgUn::with_controller(tiny_federation(4, 4), test_controller(0.5));
+        let err = algo.restore(ckpt).expect_err("mismatched checkpoint restored");
+        assert!(algo.state.is_none(), "a rejected restore must leave the state untouched");
+        err
+    }
+
+    #[test]
+    fn restore_rejects_a_model_size_mismatch() {
+        let mut ckpt = valid_checkpoint();
+        let n = ckpt.global.len();
+        ckpt.global.pop();
+        match restore_err(&ckpt) {
+            CheckpointError::ModelSizeMismatch { expected, got } => {
+                assert_eq!((expected, got), (n, n - 1))
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_client_count_mismatch() {
+        let mut ckpt = valid_checkpoint();
+        ckpt.client_masks.push(ckpt.client_masks[0].clone());
+        match restore_err(&ckpt) {
+            CheckpointError::ClientCountMismatch { expected, got } => {
+                assert_eq!((expected, got), (4, 5))
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_short_and_long_client_masks() {
+        let valid = valid_checkpoint();
+        let n = valid.global.len();
+        for (client, len) in [(1, n - 1), (3, n + 1)] {
+            let mut ckpt = valid.clone();
+            ckpt.client_masks[client].resize(len, 1.0);
+            match restore_err(&ckpt) {
+                CheckpointError::MaskLengthMismatch { client: c, expected, got } => {
+                    assert_eq!((c, expected, got), (client, n, len))
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        }
     }
 
     #[test]

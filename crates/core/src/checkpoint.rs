@@ -52,6 +52,31 @@ pub enum CheckpointError {
     },
     /// Header-declared lengths overflow the platform's address range.
     LengthOverflow,
+    /// The global parameter count differs from the restoring federation's
+    /// model.
+    ModelSizeMismatch {
+        /// Parameters in the federation's model.
+        expected: usize,
+        /// Parameters in the checkpoint.
+        got: usize,
+    },
+    /// The client-mask count differs from the restoring federation's
+    /// population.
+    ClientCountMismatch {
+        /// Clients in the federation.
+        expected: usize,
+        /// Client masks in the checkpoint.
+        got: usize,
+    },
+    /// One client's mask length differs from the model's parameter count.
+    MaskLengthMismatch {
+        /// The first client whose mask does not fit.
+        client: usize,
+        /// Parameters in the federation's model.
+        expected: usize,
+        /// Entries in that client's mask.
+        got: usize,
+    },
     /// The checkpoint file could not be read or written.
     Io(std::io::Error),
 }
@@ -72,6 +97,17 @@ impl std::fmt::Display for CheckpointError {
             Self::LengthOverflow => {
                 write!(f, "header-declared lengths overflow the platform's address range")
             }
+            Self::ModelSizeMismatch { expected, got } => {
+                write!(f, "checkpoint model size mismatch ({got} parameters, model has {expected})")
+            }
+            Self::ClientCountMismatch { expected, got } => write!(
+                f,
+                "checkpoint client count mismatch ({got} masks, federation has {expected} clients)"
+            ),
+            Self::MaskLengthMismatch { client, expected, got } => write!(
+                f,
+                "checkpoint mask of client {client} has {got} entries, model has {expected}"
+            ),
             Self::Io(e) => write!(f, "checkpoint i/o failed: {e}"),
         }
     }

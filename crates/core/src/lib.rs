@@ -57,6 +57,7 @@ pub mod scale;
 pub mod stream_agg;
 pub mod wire;
 
+pub(crate) use aggregate::unflatten_mask;
 pub use aggregate::{
     fedavg_aggregate, flatten_mask, subfedavg_aggregate, subfedavg_aggregate_trimmed,
 };

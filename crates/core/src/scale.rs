@@ -33,7 +33,9 @@
 use crate::algorithms::common::{apply_flat_mask, is_eval_round, kept_count};
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
-use crate::{evaluate_accuracy, flatten_mask, invariants, train_client_ws, wire, Federation};
+use crate::{
+    evaluate_accuracy, flatten_mask, invariants, train_client_ws, unflatten_mask, wire, Federation,
+};
 use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
 use subfed_metrics::flops;
 use subfed_metrics::trace::{self, TraceEvent};
@@ -103,6 +105,9 @@ pub struct ScaledSummary {
 pub struct ScaledSubFedAvg {
     fed: Federation,
     controller: UnstructuredController,
+    /// All-ones mask of the federation's model: the tensor layout each
+    /// client's flat registry mask is cut into.
+    layout: ModelMask,
     registry: ClientRegistry,
     global: Vec<f32>,
     cum_bytes: u64,
@@ -114,9 +119,9 @@ impl ScaledSubFedAvg {
     /// Creates the driver over a federation (usually built with
     /// [`Federation::from_provider`]) and a pruning controller.
     pub fn new(fed: Federation, controller: UnstructuredController) -> Self {
-        let global = fed.init_global();
-        let registry = ClientRegistry::new(fed.num_clients(), global.len());
-        Self { fed, controller, registry, global, cum_bytes: 0, next_round: 1, records: Vec::new() }
+        let model = fed.build_model();
+        let registry = ClientRegistry::new(fed.num_clients(), model.num_params());
+        Self::from_model(fed, controller, registry, &model)
     }
 
     /// Resumes from a cold-loaded registry (masks and participation
@@ -132,10 +137,32 @@ impl ScaledSubFedAvg {
         controller: UnstructuredController,
         registry: ClientRegistry,
     ) -> Self {
-        let global = fed.init_global();
+        let model = fed.build_model();
+        Self::from_model(fed, controller, registry, &model)
+    }
+
+    /// Assembles the driver around `model`, the federation's θ₀, from
+    /// which both the global and the mask layout are taken.
+    fn from_model(
+        fed: Federation,
+        controller: UnstructuredController,
+        registry: ClientRegistry,
+        model: &Sequential,
+    ) -> Self {
+        let global = model.flatten();
         assert_eq!(registry.registered(), fed.num_clients(), "registry population mismatch");
         assert_eq!(registry.mask_len(), global.len(), "registry model size mismatch");
-        Self { fed, controller, registry, global, cum_bytes: 0, next_round: 1, records: Vec::new() }
+        let layout = ModelMask::ones_for(model);
+        Self {
+            fed,
+            controller,
+            layout,
+            registry,
+            global,
+            cum_bytes: 0,
+            next_round: 1,
+            records: Vec::new(),
+        }
     }
 
     /// Overwrites the server's global parameters (cold-start restore).
@@ -199,6 +226,7 @@ impl ScaledSubFedAvg {
         }
         let acc = OrderedAccumulator::new(self.global.len(), fed.config().threads.max(1));
         let registry = &self.registry;
+        let layout = &self.layout;
         let global_ref = &self.global;
         let dense_flops = flops::dense_flops(fed.spec());
         // Workers are mapped over cohort *slots* (positions in `ids`), not
@@ -214,7 +242,9 @@ impl ScaledSubFedAvg {
             let i = ids[slot];
             let data = fed.client_data(i);
             let mask_flat_before = registry.mask_flat(i);
-            let mask = mask_from_flat(&fed.build_model(), &mask_flat_before);
+            // The registry stores masks of the model's length, so the
+            // flat mask always fills the layout.
+            let mask = unflatten_mask(layout, &mask_flat_before);
             let train_span = fed.tracer().span();
             let mut ws = fed.workspace();
             let out = train_client_ws(
@@ -243,14 +273,14 @@ impl ScaledSubFedAvg {
             fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
             // Pruning decision from the two weight snapshots.
             let prune_span = fed.tracer().span();
-            let mut model_fe = fed.build_model();
-            model_fe.load_flat(&out.first_epoch_flat);
-            let mut model_le = fed.build_model();
-            model_le.load_flat(&out.final_flat);
-            let (new_mask, decision) =
-                controller.step_explained(&model_fe, &model_le, &mask, out.val_acc);
+            let (new_mask, decision) = controller.step_explained_flat(
+                &out.first_epoch_flat,
+                &out.final_flat,
+                &mask,
+                out.val_acc,
+            );
             invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                invariants::check_hamming_domain(decision.mask_distance)
+                decision.mask_distance.map_or(Ok(()), invariants::check_hamming_domain)
             });
             let mask_changed = new_mask.is_some();
             let mask_after = new_mask.unwrap_or(mask);
@@ -391,20 +421,6 @@ impl ScaledSubFedAvg {
             records: self.records.clone(),
         }
     }
-}
-
-/// Reassembles a [`ModelMask`] from its flat 0/1 vector (inverse of
-/// [`flatten_mask`]).
-fn mask_from_flat(template: &Sequential, flat: &[f32]) -> ModelMask {
-    let mut m = ModelMask::ones_for(template);
-    let mut offset = 0;
-    for t in m.tensors_mut() {
-        let len = t.len();
-        t.data_mut().copy_from_slice(&flat[offset..offset + len]);
-        offset += len;
-    }
-    debug_assert_eq!(offset, flat.len(), "mask length mismatch");
-    m
 }
 
 #[cfg(test)]

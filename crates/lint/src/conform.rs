@@ -206,7 +206,7 @@ mod tests {
 {\"ev\":\"train\",\"seq\":1,\"round\":1,\"client\":0,\"us\":5,\"val_acc\":0.5,\"train_loss\":1.0}
 {\"ev\":\"download\",\"seq\":2,\"round\":1,\"client\":0,\"bytes\":400}
 {\"ev\":\"prune\",\"seq\":3,\"round\":1,\"client\":0,\"us\":5}
-{\"ev\":\"prune_gate\",\"seq\":4,\"round\":1,\"client\":0,\"track\":\"un\",\"fired\":false,\"reason\":\"mask-stable\",\"val_acc\":0.5,\"mask_distance\":0.0,\"pruned_fraction\":0.0}
+{\"ev\":\"prune_gate\",\"seq\":4,\"round\":1,\"client\":0,\"track\":\"un\",\"fired\":false,\"reason\":\"target-reached\",\"val_acc\":0.5,\"mask_distance\":null,\"pruned_fraction\":0.0}
 {\"ev\":\"upload\",\"seq\":7,\"round\":1,\"client\":0,\"bytes\":400}
 {\"ev\":\"encode\",\"seq\":5,\"round\":1,\"client\":0,\"us\":5,\"bytes\":421,\"kept\":100}
 {\"ev\":\"decode\",\"seq\":6,\"round\":1,\"client\":0,\"us\":5,\"bytes\":421}

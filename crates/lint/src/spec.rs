@@ -1001,7 +1001,7 @@ mod tests {
                 fired: k < 100,
                 reason: if k < 100 { "pruned" } else { "mask-stable" }.into(),
                 val_acc: 0.5,
-                mask_distance: 0.1,
+                mask_distance: Some(0.1),
                 pruned_fraction: 1.0 - k as f32 / 100.0,
             });
             evs.push(TraceEvent::Encode {

@@ -137,6 +137,32 @@ fn golden_trace_with_dropouts_conforms() {
 }
 
 #[test]
+fn held_gates_write_null_mask_distance_and_conform() {
+    // Target 0.2 at rate 0.2: a client's second participation holds at
+    // the target gate, before Δ is computed.
+    let sink = Arc::new(VecSink::new());
+    let fed = federation(3, 0.0).with_tracer(Tracer::new(sink.clone()));
+    let mut controller = UnstructuredController::paper_defaults(0.2);
+    controller.acc_threshold = 0.0;
+    controller.rate = 0.2;
+    let _ = SubFedAvgUn::with_controller(fed, controller).run();
+    let events = sink.snapshot();
+    let mut held_before_delta = 0;
+    for e in &events {
+        if let TraceEvent::PruneGate { reason, mask_distance, .. } = e {
+            let computed = !matches!(reason.as_str(), "acc-below-threshold" | "target-reached");
+            assert_eq!(mask_distance.is_some(), computed, "{reason}: {mask_distance:?}");
+            held_before_delta += usize::from(!computed);
+        }
+    }
+    assert!(held_before_delta > 0, "no gate held at the target");
+    let jsonl = to_jsonl(&events);
+    assert!(jsonl.contains("\"mask_distance\":null"));
+    let report = verify_reader(Cursor::new(jsonl.as_bytes()));
+    assert!(report.is_clean(), "{:?} {:?}", report.parse_errors, report.violations);
+}
+
+#[test]
 fn golden_jsonl_replays_clean_even_with_shuffled_lines() {
     let events = golden_un(0.0);
     let jsonl = to_jsonl(&events);

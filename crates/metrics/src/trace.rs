@@ -143,9 +143,9 @@ pub enum TraceEvent {
         reason: String,
         /// The validation accuracy the gate saw.
         val_acc: f32,
-        /// Hamming distance Δ between the two candidate masks (0 when the
-        /// gate held before Δ was computed).
-        mask_distance: f32,
+        /// Hamming distance Δ between the two candidate masks; `None`
+        /// (JSON `null`) when the gate held before Δ was computed.
+        mask_distance: Option<f32>,
         /// Pruned fraction of the client's mask after the decision.
         pruned_fraction: f32,
     },
@@ -386,7 +386,10 @@ impl TraceEvent {
                     ",\"track\":\"{track}\",\"fired\":{fired},\"reason\":\"{reason}\""
                 ));
                 f32f(&mut s, "val_acc", *val_acc);
-                f32f(&mut s, "mask_distance", *mask_distance);
+                match mask_distance {
+                    Some(d) => f32f(&mut s, "mask_distance", *d),
+                    None => s.push_str(",\"mask_distance\":null"),
+                }
                 f32f(&mut s, "pruned_fraction", *pruned_fraction);
             }
             TraceEvent::Encode { client, us, bytes, kept, .. } => {
@@ -522,7 +525,9 @@ impl TraceEvent {
                 fired: get("fired")?.as_bool("fired")?,
                 reason: str_of("reason")?,
                 val_acc: f32_of("val_acc")?,
-                mask_distance: f32_of("mask_distance")?,
+                // `null` when Δ was not computed; traces recorded before
+                // that distinction carry a number on every gate.
+                mask_distance: get("mask_distance")?.as_opt_f32("mask_distance")?,
                 pruned_fraction: f32_of("pruned_fraction")?,
             }),
             "encode" => Ok(TraceEvent::Encode {
@@ -1136,6 +1141,8 @@ mod json {
         Str(String),
         /// A boolean.
         Bool(bool),
+        /// `null`.
+        Null,
         /// An array.
         Arr(Vec<Value>),
         /// An object, field order preserved.
@@ -1165,6 +1172,13 @@ mod json {
             match self {
                 Value::Num(n) => Ok(*n as f32),
                 _ => Err(format!("field `{key}` is not a number")),
+            }
+        }
+
+        pub(super) fn as_opt_f32(&self, key: &str) -> Result<Option<f32>, String> {
+            match self {
+                Value::Null => Ok(None),
+                _ => self.as_f32(key).map(Some),
             }
         }
 
@@ -1224,6 +1238,7 @@ mod json {
             Some(b'[') => parse_array(bytes, pos),
             Some(b'"') => parse_string(bytes, pos).map(Value::Str),
             Some(b't') | Some(b'f') => parse_bool(bytes, pos),
+            Some(b'n') => parse_null(bytes, pos),
             Some(_) => parse_number(bytes, pos),
             None => Err("unexpected end of input".into()),
         }
@@ -1308,6 +1323,15 @@ mod json {
         }
     }
 
+    fn parse_null(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+        if bytes[*pos..].starts_with(b"null") {
+            *pos += 4;
+            Ok(Value::Null)
+        } else {
+            Err(format!("invalid literal at byte {}", *pos))
+        }
+    }
+
     fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let start = *pos;
         while let Some(&b) = bytes.get(*pos) {
@@ -1356,7 +1380,7 @@ mod tests {
                 fired: true,
                 reason: "pruned".into(),
                 val_acc: 0.625,
-                mask_distance: 0.01,
+                mask_distance: Some(0.01),
                 pruned_fraction: 0.1,
             },
             TraceEvent::Encode { round: 1, client: 0, us: 5, bytes: 2048, kept: 500 },
@@ -1385,6 +1409,35 @@ mod tests {
             let back = TraceEvent::from_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, event, "{line}");
         }
+    }
+
+    #[test]
+    fn uncomputed_mask_distance_is_null_and_numbers_still_parse() {
+        let held = TraceEvent::PruneGate {
+            round: 3,
+            client: 1,
+            track: "un".into(),
+            fired: false,
+            reason: "target-reached".into(),
+            val_acc: 0.75,
+            mask_distance: None,
+            pruned_fraction: 0.5,
+        };
+        let line = held.to_json();
+        assert!(line.contains(",\"mask_distance\":null,"), "{line}");
+        assert_eq!(TraceEvent::from_json(&line).unwrap(), held);
+        // A trace written when every gate carried a number still parses.
+        let legacy = line.replace("null", "0.0");
+        match TraceEvent::from_json(&legacy).unwrap() {
+            TraceEvent::PruneGate { mask_distance, .. } => assert_eq!(mask_distance, Some(0.0)),
+            other => panic!("parsed as {other:?}"),
+        }
+        assert!(TraceEvent::from_json(&line.replace("null", "nul"))
+            .unwrap_err()
+            .contains("invalid literal"));
+        assert!(TraceEvent::from_json(&line.replace("null", "\"x\""))
+            .unwrap_err()
+            .contains("not a number"));
     }
 
     #[test]
@@ -1613,7 +1666,7 @@ not json\n";
             fired: false,
             reason: "mask-stable".into(),
             val_acc: 0.9,
-            mask_distance: 0.0,
+            mask_distance: None,
             pruned_fraction: 0.5,
         });
         let summary = TraceSummary::from_events(&events);

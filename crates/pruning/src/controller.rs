@@ -11,12 +11,18 @@
 //!    is still *moving* — once it stabilises below ε the subnetwork is
 //!    considered found).
 //!
+//! The gates are checked in that order: accuracy, then target, then Δ. The
+//! candidates, and so Δ, are computed only when the first two pass; a gate
+//! held before that reports [`GateDecision::mask_distance`] as `None`.
+//!
 //! In the hybrid algorithm the structured and unstructured tracks are gated
 //! independently (Algorithm 2, line 19: "if **any** of the conditions
 //! Δ_s ≥ ε or Δ_us ≥ ε hold, apply its corresponding mask").
 
 use crate::structured::{expand_channel_mask, slimming_mask, ChannelMask};
-use crate::unstructured::{magnitude_mask, pruned_fraction, PruneScope, Ranking};
+use crate::unstructured::{
+    flat_slices, magnitude_mask, model_slices, pruned_fraction, rank, PruneScope, Ranking,
+};
 use serde::{Deserialize, Serialize};
 use subfed_nn::models::channel_graph;
 use subfed_nn::{ModelMask, Sequential};
@@ -61,8 +67,8 @@ pub struct GateDecision {
     /// The outcome and, when held, the first gate that stopped it.
     pub reason: GateReason,
     /// Hamming distance Δ between the first- and last-epoch candidate
-    /// masks (0 when the decision was made before Δ was computed).
-    pub mask_distance: f32,
+    /// masks; `None` when a gate held before Δ was computed.
+    pub mask_distance: Option<f32>,
     /// Pruned fraction of the (possibly advanced) mask over the
     /// controller's scope.
     pub pruned_fraction: f32,
@@ -157,25 +163,70 @@ impl UnstructuredController {
         current: &ModelMask,
         val_acc: f32,
     ) -> (Option<ModelMask>, GateDecision) {
-        let m_fe = self.candidate(model_first_epoch, current);
-        let m_le = self.candidate(model_last_epoch, current);
-        let delta = m_fe.hamming_distance(&m_le, |k| self.scope.includes(k));
-        let reason = if !acc_gate_passes(val_acc, self.acc_threshold) {
-            GateReason::AccuracyBelowThreshold
-        } else if pruned_fraction(current, self.scope) >= self.target {
-            GateReason::TargetReached
-        } else if !delta_gate_passes(delta, self.eps) {
-            GateReason::MaskStable
-        } else {
-            GateReason::Pruned
+        self.decide(
+            &model_slices(model_first_epoch),
+            &model_slices(model_last_epoch),
+            current,
+            acc_gate_passes(val_acc, self.acc_threshold),
+        )
+    }
+
+    /// [`UnstructuredController::step_explained`] over flat weight
+    /// snapshots in `Sequential::flatten` order — what local training
+    /// returns — so the caller rebuilds no model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either snapshot does not match the layout of `current`.
+    pub fn step_explained_flat(
+        &self,
+        first_epoch: &[f32],
+        last_epoch: &[f32],
+        current: &ModelMask,
+        val_acc: f32,
+    ) -> (Option<ModelMask>, GateDecision) {
+        self.decide(
+            &flat_slices(first_epoch, current),
+            &flat_slices(last_epoch, current),
+            current,
+            acc_gate_passes(val_acc, self.acc_threshold),
+        )
+    }
+
+    /// The gate sequence of Algorithm 1 line 14 over per-tensor weight
+    /// slices, given the accuracy gate's outcome (the hybrid controller
+    /// shares one accuracy gate between its tracks). The accuracy and
+    /// target gates need only `current`, so the candidates are ranked only
+    /// once both pass.
+    fn decide(
+        &self,
+        first_epoch: &[&[f32]],
+        last_epoch: &[&[f32]],
+        current: &ModelMask,
+        acc_ok: bool,
+    ) -> (Option<ModelMask>, GateDecision) {
+        let frac = pruned_fraction(current, self.scope);
+        let held = |reason, mask_distance| {
+            (None, GateDecision { reason, mask_distance, pruned_fraction: frac })
         };
-        if reason.fired() {
-            let frac = pruned_fraction(&m_le, self.scope);
-            (Some(m_le), GateDecision { reason, mask_distance: delta, pruned_fraction: frac })
-        } else {
-            let frac = pruned_fraction(current, self.scope);
-            (None, GateDecision { reason, mask_distance: delta, pruned_fraction: frac })
+        if !acc_ok {
+            return held(GateReason::AccuracyBelowThreshold, None);
         }
+        if frac >= self.target {
+            return held(GateReason::TargetReached, None);
+        }
+        let m_fe = rank(first_epoch, current, self.rate, self.scope, self.ranking);
+        let m_le = rank(last_epoch, current, self.rate, self.scope, self.ranking);
+        let delta = m_fe.hamming_distance(&m_le, |k| self.scope.includes(k));
+        if !delta_gate_passes(delta, self.eps) {
+            return held(GateReason::MaskStable, Some(delta));
+        }
+        let decision = GateDecision {
+            reason: GateReason::Pruned,
+            mask_distance: Some(delta),
+            pruned_fraction: pruned_fraction(&m_le, self.scope),
+        };
+        (Some(m_le), decision)
     }
 }
 
@@ -282,22 +333,19 @@ impl HybridController {
         val_acc: f32,
     ) -> (HybridStep, HybridDecision) {
         let mut channels = current_channels.clone();
-        let mut unstructured = current_unstructured.clone();
-        let mut gate = StructuredGate { structured_fired: false, unstructured_fired: false };
-
         let acc_ok = acc_gate_passes(val_acc, self.acc_threshold);
 
         // Structured track.
         let structured = if !acc_ok {
             GateDecision {
                 reason: GateReason::AccuracyBelowThreshold,
-                mask_distance: 0.0,
+                mask_distance: None,
                 pruned_fraction: current_channels.pruned_fraction(),
             }
         } else if current_channels.pruned_fraction() >= self.structured_target {
             GateDecision {
                 reason: GateReason::TargetReached,
-                mask_distance: 0.0,
+                mask_distance: None,
                 pruned_fraction: current_channels.pruned_fraction(),
             }
         } else {
@@ -306,54 +354,32 @@ impl HybridController {
             let delta_s = c_fe.hamming_distance(&c_le);
             if delta_gate_passes(delta_s, self.structured_eps) {
                 channels = c_le;
-                gate.structured_fired = true;
                 GateDecision {
                     reason: GateReason::Pruned,
-                    mask_distance: delta_s,
+                    mask_distance: Some(delta_s),
                     pruned_fraction: channels.pruned_fraction(),
                 }
             } else {
                 GateDecision {
                     reason: GateReason::MaskStable,
-                    mask_distance: delta_s,
+                    mask_distance: Some(delta_s),
                     pruned_fraction: current_channels.pruned_fraction(),
                 }
             }
         };
 
-        // Unstructured (FC) track — independent gating.
-        let scope = self.unstructured.scope;
-        let unstructured_decision = if !acc_ok {
-            GateDecision {
-                reason: GateReason::AccuracyBelowThreshold,
-                mask_distance: 0.0,
-                pruned_fraction: pruned_fraction(current_unstructured, scope),
-            }
-        } else if pruned_fraction(current_unstructured, scope) >= self.unstructured.target {
-            GateDecision {
-                reason: GateReason::TargetReached,
-                mask_distance: 0.0,
-                pruned_fraction: pruned_fraction(current_unstructured, scope),
-            }
-        } else {
-            let m_fe = self.unstructured.candidate(model_first_epoch, current_unstructured);
-            let m_le = self.unstructured.candidate(model_last_epoch, current_unstructured);
-            let delta_us = m_fe.hamming_distance(&m_le, |k| scope.includes(k));
-            if delta_gate_passes(delta_us, self.unstructured.eps) {
-                unstructured = m_le;
-                gate.unstructured_fired = true;
-                GateDecision {
-                    reason: GateReason::Pruned,
-                    mask_distance: delta_us,
-                    pruned_fraction: pruned_fraction(&unstructured, scope),
-                }
-            } else {
-                GateDecision {
-                    reason: GateReason::MaskStable,
-                    mask_distance: delta_us,
-                    pruned_fraction: pruned_fraction(current_unstructured, scope),
-                }
-            }
+        // Unstructured (FC) track — gated independently, on the shared
+        // accuracy gate.
+        let (advanced, unstructured_decision) = self.unstructured.decide(
+            &model_slices(model_first_epoch),
+            &model_slices(model_last_epoch),
+            current_unstructured,
+            acc_ok,
+        );
+        let unstructured = advanced.unwrap_or_else(|| current_unstructured.clone());
+        let gate = StructuredGate {
+            structured_fired: structured.reason.fired(),
+            unstructured_fired: unstructured_decision.reason.fired(),
         };
 
         let mask = expand_channel_mask(model_last_epoch, &channels, &unstructured);
@@ -372,6 +398,7 @@ impl HybridController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use subfed_nn::models::ModelSpec;
     use subfed_tensor::init::SeededRng;
 
@@ -492,7 +519,7 @@ mod tests {
         assert!(mask.is_some());
         assert_eq!(d.reason, GateReason::Pruned);
         assert!(d.reason.fired());
-        assert!(d.mask_distance > 0.0);
+        assert!(d.mask_distance.is_some_and(|delta| delta > 0.0));
         assert!((d.pruned_fraction - c.rate).abs() < 0.01);
         let (none, d) = c.step_explained(&m_fe, &m_le, &ones, 0.1);
         assert!(none.is_none());
@@ -504,6 +531,59 @@ mod tests {
         let (_, d) = c.step_explained(&m_fe, &m_le, &half, 0.9);
         assert_eq!(d.reason, GateReason::TargetReached);
         assert_eq!(d.reason.as_str(), "target-reached");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn flat_entry_matches_model_entry(
+            seed in 0u64..10_000,
+            stable in prop::bool::ANY,
+            val_acc in prop::sample::select(vec![0.1f32, 0.9, f32::NAN]),
+            target in prop::sample::select(vec![0.05f32, 0.5]),
+            rate in prop::sample::select(vec![1e-3f32, 0.2]),
+            scope in prop::sample::select(vec![PruneScope::AllWeights, PruneScope::FcOnly]),
+            ranking in prop::sample::select(vec![Ranking::LayerWise, Ranking::Global]),
+        ) {
+            let c = UnstructuredController {
+                rate,
+                target,
+                acc_threshold: 0.5,
+                eps: 1e-4,
+                scope,
+                ranking,
+            };
+            let m_fe = model(seed);
+            let m_le = if stable { model(seed) } else { model(seed + 1) };
+            // Start from a partly pruned mask half the time.
+            let ones = ModelMask::ones_for(&m_fe);
+            let current = if seed % 2 == 0 { c.candidate(&m_fe, &ones) } else { ones };
+            let by_model = c.step_explained(&m_fe, &m_le, &current, val_acc);
+            let by_flat =
+                c.step_explained_flat(&m_fe.flatten(), &m_le.flatten(), &current, val_acc);
+            prop_assert_eq!(by_model, by_flat);
+        }
+    }
+
+    #[test]
+    fn delta_is_computed_only_after_accuracy_and_target_pass() {
+        let c = UnstructuredController::paper_defaults(0.5);
+        let m_fe = model(1);
+        let m_le = model(2);
+        let ones = ModelMask::ones_for(&m_fe);
+        let half = magnitude_mask(&m_fe, &ones, 0.5, PruneScope::AllWeights, Ranking::LayerWise);
+        // Held by accuracy or target: Δ was never computed.
+        let (_, d) = c.step_explained(&m_fe, &m_le, &ones, 0.1);
+        assert_eq!(d.mask_distance, None);
+        let (_, d) = c.step_explained(&m_fe, &m_le, &half, 0.9);
+        assert_eq!((d.reason, d.mask_distance), (GateReason::TargetReached, None));
+        // Accuracy is checked before the target.
+        let (_, d) = c.step_explained(&m_fe, &m_le, &half, 0.1);
+        assert_eq!(d.reason, GateReason::AccuracyBelowThreshold);
+        // Held by Δ: the measured distance is reported, even when it is 0.
+        let (_, d) = c.step_explained(&m_fe, &m_fe, &ones, 0.9);
+        assert_eq!((d.reason, d.mask_distance), (GateReason::MaskStable, Some(0.0)));
     }
 
     #[test]
@@ -531,7 +611,8 @@ mod tests {
         let (_, held) = hc.step_explained(&m_fe, &m_le, &channels, &unstructured, 0.1);
         assert_eq!(held.structured.reason, GateReason::AccuracyBelowThreshold);
         assert_eq!(held.unstructured.reason, GateReason::AccuracyBelowThreshold);
-        assert_eq!(held.structured.mask_distance, 0.0);
+        assert_eq!(held.structured.mask_distance, None);
+        assert_eq!(held.unstructured.mask_distance, None);
     }
 
     #[test]
