@@ -38,9 +38,10 @@ use crate::parser::{call_sites, parse_file, FnDef};
 use crate::rules::test_module_ranges;
 
 /// Built-in hot entry points: per-batch code by construction.
-pub const HOT_ENTRIES: [&str; 13] = [
+pub const HOT_ENTRIES: [&str; 14] = [
     "forward_ws",
     "backward_ws",
+    "backward_params_ws",
     "train_client_ws",
     "gemm",
     "gemm_ws",
@@ -310,6 +311,16 @@ mod tests {
             hot_names(&files, &graph),
             vec!["deep", "forward_ws", "helper", "inner", "pack"]
         );
+    }
+
+    #[test]
+    fn params_only_backward_is_a_built_in_entry() {
+        let (files, graph) = graph_of(&[(
+            "a.rs",
+            "impl Conv2d { fn backward_params_ws(&mut self) { self.param_grads(); } \
+             fn param_grads(&mut self) {} }\nfn unrelated() {}",
+        )]);
+        assert_eq!(hot_names(&files, &graph), vec!["backward_params_ws", "param_grads"]);
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //!   sampled clients and reports that count;
 //! - every sampled non-survivor carries a `Dropout` with an explicit
 //!   skip reason; every fired `PruneGate` follows a `ClientPrune`;
+//! - a `PruneGate` decided on the mask distance (`pruned`,
+//!   `mask-stable`) carries that distance, never `null`;
 //! - `RoundEnd.cum_bytes` equals the running sum of all transfer bytes;
 //! - when a `ClientTrain` records FLOP accounting (`dense_flops > 0`),
 //!   its `effective_flops` never exceeds `dense_flops` — a subnetwork
@@ -55,6 +57,10 @@ const FRACTION_EPS: f32 = 1e-6;
 
 /// Gate reason vocabulary (mirrors `subfed_pruning::GateReason::as_str`).
 const GATE_REASONS: [&str; 4] = ["pruned", "acc-below-threshold", "target-reached", "mask-stable"];
+
+/// Gate reasons decided after the mask distance Δ is computed; their
+/// gates must carry a `mask_distance`.
+const DELTA_REASONS: [&str; 2] = ["pruned", "mask-stable"];
 
 /// Gate track vocabulary: Algorithm 1 emits `un`; Algorithm 2 emits
 /// `channel` then `un`.
@@ -475,7 +481,14 @@ impl ProtocolSpec {
                 }));
             }
             TraceEvent::PruneGate {
-                round, client, track, fired, reason, pruned_fraction, ..
+                round,
+                client,
+                track,
+                fired,
+                reason,
+                pruned_fraction,
+                mask_distance,
+                ..
             } => {
                 if !GATE_TRACKS.contains(&track.as_str()) {
                     out.push(v(
@@ -498,6 +511,17 @@ impl ProtocolSpec {
                         *round,
                         Some(*client),
                         format!("gate reports fired={fired} but reason `{reason}`"),
+                    ));
+                }
+                // `pruned` and `mask-stable` are decided on Δ, so Δ exists.
+                // A number on a held-before-Δ gate is legal: traces written
+                // before those gates reported `null` carry one.
+                if mask_distance.is_none() && DELTA_REASONS.contains(&reason.as_str()) {
+                    out.push(v(
+                        "gate-distance-missing",
+                        *round,
+                        Some(*client),
+                        format!("`{reason}` gate has a null mask_distance"),
                     ));
                 }
                 let key = (*client, track.clone());
@@ -1039,6 +1063,43 @@ mod tests {
     fn clean_hand_built_round_passes() {
         let vs = verify(&clean_round(1, &[0, 1], &[80, 100]));
         assert!(vs.is_empty(), "{vs:?}");
+    }
+
+    /// Rewrites client `client`'s gate in `evs` to `reason`/`distance`.
+    fn set_gate(evs: &mut [TraceEvent], client: usize, reason: &str, distance: Option<f32>) {
+        for e in evs {
+            if let TraceEvent::PruneGate { client: c, reason: r, mask_distance, .. } = e {
+                if *c == client {
+                    *r = reason.into();
+                    *mask_distance = distance;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn null_distance_on_delta_gates_is_flagged() {
+        // Client 0 fired (`pruned`), client 1 held on `mask-stable`.
+        for client in [0, 1] {
+            let mut evs = clean_round(1, &[0, 1], &[80, 100]);
+            let reason = if client == 0 { "pruned" } else { "mask-stable" };
+            set_gate(&mut evs, client, reason, None);
+            let vs = verify(&evs);
+            assert_eq!(vs.len(), 1, "{vs:?}");
+            assert_eq!((vs[0].rule, vs[0].client), ("gate-distance-missing", Some(client)));
+        }
+    }
+
+    #[test]
+    fn held_before_delta_gates_take_null_or_a_number() {
+        for reason in ["acc-below-threshold", "target-reached"] {
+            for distance in [None, Some(0.0)] {
+                let mut evs = clean_round(1, &[0, 1], &[80, 100]);
+                set_gate(&mut evs, 1, reason, distance);
+                let vs = verify(&evs);
+                assert!(vs.is_empty(), "{reason} {distance:?}: {vs:?}");
+            }
+        }
     }
 
     #[test]

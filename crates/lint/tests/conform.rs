@@ -163,6 +163,26 @@ fn held_gates_write_null_mask_distance_and_conform() {
 }
 
 #[test]
+fn mutation_null_mask_distance_on_fired_gate_is_rejected() {
+    let mut events = golden_un(0.0);
+    let at = events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::PruneGate { fired: true, .. }))
+        .expect("a fired gate");
+    let client = events[at].client();
+    if let TraceEvent::PruneGate { mask_distance, .. } = &mut events[at] {
+        *mask_distance = None;
+    }
+    let report = verify_events(&events);
+    let v =
+        report.violations.iter().find(|v| v.rule == "gate-distance-missing").unwrap_or_else(|| {
+            panic!("no gate-distance-missing violation: {:?}", report.violations)
+        });
+    assert_eq!((v.client, v.event), (client, "prune_gate"));
+    assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+}
+
+#[test]
 fn golden_jsonl_replays_clean_even_with_shuffled_lines() {
     let events = golden_un(0.0);
     let jsonl = to_jsonl(&events);

@@ -7,7 +7,9 @@
 //! differences.
 
 use crate::{Layer, Mode};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use subfed_tensor::init::{uniform, SeededRng};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 fn objective(layer: &mut Box<dyn Layer>, x: &Tensor) -> f32 {
@@ -73,4 +75,50 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input_shape: &[usize], eps: f32, t
             );
         }
     }
+}
+
+/// Checks [`Layer::backward_params_ws`] against [`Layer::backward_ws`] on
+/// two clones of `layer` after the same training forward:
+///
+/// * every parameter's `grad` is bit-equal;
+/// * both leave the same number of retained [`Workspace`] buffers (each
+///   workspace is warmed by one full step first, as in training);
+/// * the forward cache is consumed, so a second call panics with
+///   `backward without forward`.
+///
+/// # Panics
+///
+/// Panics (failing the test) on the first property that does not hold.
+pub fn check_params_only_backward(layer: &dyn Layer, input_shape: &[usize]) {
+    let mut rng = SeededRng::new(0xBACC);
+    let x = uniform(input_shape, -1.0, 1.0, &mut rng);
+    let mut full = layer.clone_box();
+    let mut params_only = layer.clone_box();
+    let mut ws_full = Workspace::new();
+    let mut ws_params = Workspace::new();
+    for (l, ws) in [(&mut full, &mut ws_full), (&mut params_only, &mut ws_params)] {
+        let y = l.forward_ws(&x, Mode::Train, ws);
+        let _ = l.backward_ws(&y, ws);
+    }
+
+    let y = full.forward_ws(&x, Mode::Train, &mut ws_full);
+    let dy = uniform(y.shape(), -1.0, 1.0, &mut rng);
+    let _ = full.backward_ws(&dy, &mut ws_full);
+    let y_params = params_only.forward_ws(&x, Mode::Train, &mut ws_params);
+    assert_eq!(y.data(), y_params.data(), "{}: forward diverged", layer.name());
+    params_only.backward_params_ws(&dy, &mut ws_params);
+
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for (pi, (a, b)) in full.params().iter().zip(params_only.params()).enumerate() {
+        assert_eq!(a.grad.shape(), b.grad.shape(), "{}: param {pi} grad shape", layer.name());
+        assert_eq!(bits(&a.grad), bits(&b.grad), "{}: param {pi} grad bits", layer.name());
+    }
+    assert_eq!(ws_full.retained(), ws_params.retained(), "{}: retained buffers", layer.name());
+
+    let again = catch_unwind(AssertUnwindSafe(|| {
+        params_only.backward_params_ws(&dy, &mut ws_params);
+    }));
+    let payload = again.expect_err("second backward_params_ws must panic");
+    let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(msg.contains("backward without forward"), "{}: panicked with {msg:?}", layer.name());
 }

@@ -22,6 +22,10 @@ pub enum Mode {
 ///   parameter's `grad` with this batch's gradient, and returns the gradient
 ///   with respect to the layer input. One `forward`/`backward` pair per
 ///   optimizer step — gradients are not accumulated across calls.
+/// * [`Layer::backward_params_ws`] is the same step without the input
+///   gradient. [`Sequential::backward_ws`](crate::Sequential::backward_ws)
+///   uses it on the model's first layer, whose input gradient (the
+///   gradient w.r.t. the images) no parameter depends on.
 /// * Layers are `Send` so the federation can train clients on worker
 ///   threads.
 pub trait Layer: Send {
@@ -58,6 +62,21 @@ pub trait Layer: Send {
     /// Panics if called without a preceding training-mode forward.
     fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         self.backward(grad_out)
+    }
+
+    /// [`Layer::backward_ws`] without the input gradient: consumes the
+    /// forward cache and overwrites every parameter's `grad` exactly as
+    /// `backward_ws` does, bit for bit, but returns nothing.
+    ///
+    /// The default runs `backward_ws` and drops its result. Layers whose
+    /// input gradient is real work override it to skip that work
+    /// (`Conv2d` skips `Wᵀ·dOut` and `col2im`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if called without a preceding training-mode forward.
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backward_ws(grad_out, ws);
     }
 
     /// Installs (or clears) the compressed-row fast path derived from this

@@ -292,6 +292,13 @@ mod tests {
     }
 
     #[test]
+    fn default_params_only_backward_matches_full_backward() {
+        let mut bn = BatchNorm2d::new(3);
+        bn.gamma.value.data_mut().copy_from_slice(&[0.5, 1.7, -0.3]);
+        crate::gradcheck::check_params_only_backward(&bn, &[4, 3, 5, 5]);
+    }
+
+    #[test]
     fn gradients_pass_finite_difference_check() {
         let bn = BatchNorm2d::new(2);
         crate::gradcheck::check_layer(Box::new(bn), &[3, 2, 4, 4], 1e-2, 3e-2);

@@ -51,7 +51,7 @@ pub struct Conv2d {
 #[derive(Debug, Clone)]
 struct Cache {
     /// Fused `[col_rows, batch·col_cols]` patch matrix (workspace buffer;
-    /// returned to the workspace by `backward_ws`).
+    /// returned to the workspace by either backward entry).
     cols: Vec<f32>,
     geom: ConvGeom,
     batch: usize,
@@ -124,6 +124,50 @@ impl Conv2d {
             stride: self.stride,
             pad: self.pad,
         }
+    }
+
+    /// The parameter half of backward, shared by both backward entries:
+    /// consumes the forward cache, gathers dOut into the fused
+    /// `[Cout, N·cc]` layout and overwrites `weight.grad` and `bias.grad`.
+    /// Returns the cache and the gathered dOut (a workspace buffer) for
+    /// the input-gradient tail.
+    fn param_grads(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> (Cache, Vec<f32>) {
+        let cache = take_cache(&mut self.cache, "conv2d");
+        let geom = cache.geom;
+        let col_rows = geom.col_rows();
+        let col_cols = geom.col_cols();
+        let n = cache.batch;
+        assert_eq!(
+            grad_out.shape(),
+            &[n, self.out_ch, geom.out_h(), geom.out_w()],
+            "conv2d backward: unexpected grad shape"
+        );
+        let fused_cols = n * col_cols;
+        // Gather dOut from NCHW into the fused [Cout, N·cc] layout (the
+        // exact inverse of the forward permutation).
+        let mut dym = ws.take_scratch(self.out_ch * fused_cols);
+        for i in 0..n {
+            for oc in 0..self.out_ch {
+                let src = &grad_out.data()[(i * self.out_ch + oc) * col_cols..][..col_cols];
+                dym[oc * fused_cols + i * col_cols..][..col_cols].copy_from_slice(src);
+            }
+        }
+        // dW = dOut · colsᵀ (only at kept positions under a mask).
+        let mut dw = ws.take_scratch(self.out_ch * col_rows);
+        match &self.sparse {
+            Some(pat) => masked_dot_nt(pat, &dym, &cache.cols, fused_cols, &mut dw),
+            None => gemm_nt(self.out_ch, fused_cols, col_rows, &dym, &cache.cols, &mut dw),
+        }
+        store_grad(&mut self.weight, &[self.out_ch, self.in_ch, self.kernel, self.kernel], &dw);
+        ws.put(dw);
+        // db = rowwise sum of dOut.
+        let mut db = ws.take_scratch(self.out_ch);
+        for (oc, d) in db.iter_mut().enumerate() {
+            *d = dym[oc * fused_cols..(oc + 1) * fused_cols].iter().sum::<f32>();
+        }
+        store_grad(&mut self.bias, &[self.out_ch], &db);
+        ws.put(db);
+        (cache, dym)
     }
 }
 
@@ -263,42 +307,11 @@ impl Layer for Conv2d {
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        let cache = take_cache(&mut self.cache, "conv2d");
+        let (cache, dym) = self.param_grads(grad_out, ws);
         let geom = cache.geom;
-        let (oh, ow) = (geom.out_h(), geom.out_w());
         let col_rows = geom.col_rows();
-        let col_cols = geom.col_cols();
         let n = cache.batch;
-        assert_eq!(
-            grad_out.shape(),
-            &[n, self.out_ch, oh, ow],
-            "conv2d backward: unexpected grad shape"
-        );
-        let fused_cols = n * col_cols;
-        // Gather dOut from NCHW into the fused [Cout, N·cc] layout (the
-        // exact inverse of the forward permutation).
-        let mut dym = ws.take_scratch(self.out_ch * fused_cols);
-        for i in 0..n {
-            for oc in 0..self.out_ch {
-                let src = &grad_out.data()[(i * self.out_ch + oc) * col_cols..][..col_cols];
-                dym[oc * fused_cols + i * col_cols..][..col_cols].copy_from_slice(src);
-            }
-        }
-        // dW = dOut · colsᵀ (only at kept positions under a mask).
-        let mut dw = ws.take_scratch(self.out_ch * col_rows);
-        match &self.sparse {
-            Some(pat) => masked_dot_nt(pat, &dym, &cache.cols, fused_cols, &mut dw),
-            None => gemm_nt(self.out_ch, fused_cols, col_rows, &dym, &cache.cols, &mut dw),
-        }
-        store_grad(&mut self.weight, &[self.out_ch, self.in_ch, self.kernel, self.kernel], &dw);
-        ws.put(dw);
-        // db = rowwise sum of dOut.
-        let mut db = ws.take_scratch(self.out_ch);
-        for (oc, d) in db.iter_mut().enumerate() {
-            *d = dym[oc * fused_cols..(oc + 1) * fused_cols].iter().sum::<f32>();
-        }
-        store_grad(&mut self.bias, &[self.out_ch], &db);
-        ws.put(db);
+        let fused_cols = n * geom.col_cols();
         // dcols = Wᵀ · dOut, scattered back by col2im.
         let mut dcols = ws.take_scratch(col_rows * fused_cols);
         let wvals = self.weight.value.data();
@@ -314,6 +327,15 @@ impl Layer for Conv2d {
         ws.put(cache.cols);
         // lint: allow(hot-path-alloc) — shape metadata, not tensor data
         Tensor::from_parts(vec![n, geom.channels, geom.height, geom.width], dx)
+    }
+
+    /// The input layer's backward: dW and db only. The input gradient
+    /// (`Wᵀ·dOut` plus `col2im`) is never formed, which is exact because
+    /// no parameter depends on it.
+    fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let (cache, dym) = self.param_grads(grad_out, ws);
+        ws.put(dym);
+        ws.put(cache.cols);
     }
 
     // lint: cold — pattern build happens once per round, on mask install
@@ -469,6 +491,53 @@ mod tests {
                 assert!((gd - gs).abs() <= 1e-4 + 1e-4 * gd.abs(), "{gd} vs {gs}");
             }
         }
+    }
+
+    /// Installs `bits` (one 0/1 entry per weight) as the layer's mask,
+    /// zeroing the pruned weights first.
+    fn install_mask(conv: &mut Conv2d, bits: Vec<f32>) {
+        for (v, &bit) in conv.weight.value.data_mut().iter_mut().zip(&bits) {
+            *v *= bit;
+        }
+        let shape = conv.weight.value.shape().to_vec();
+        let ones = Tensor::full(&[conv.out_ch], 1.0);
+        conv.install_sparsity(&[&Tensor::from_parts(shape, bits), &ones]);
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_dense() {
+        let mut rng = SeededRng::new(41);
+        let conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
+        assert!(!conv.has_sparse_path());
+        crate::gradcheck::check_params_only_backward(&conv, &[4, 3, 12, 12]);
+        let padded = Conv2d::new(2, 4, 3, 2, 1, &mut rng);
+        crate::gradcheck::check_params_only_backward(&padded, &[3, 2, 9, 9]);
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_unstructured() {
+        let mut rng = SeededRng::new(42);
+        let mut conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
+        let bits = (0..6 * 3 * 5 * 5).map(|t| f32::from(u8::from(t % 4 == 0 || t % 7 == 0)));
+        install_mask(&mut conv, bits.collect());
+        assert!(conv.has_sparse_path() && !conv.has_rect_path());
+        crate::gradcheck::check_params_only_backward(&conv, &[4, 3, 12, 12]);
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_structured() {
+        let mut rng = SeededRng::new(43);
+        let mut conv = Conv2d::new(4, 6, 3, 1, 1, &mut rng);
+        // Keep output channels {0, 2, 5} and input channels {1, 3}.
+        let mut bits = vec![0.0f32; 6 * 4 * 3 * 3];
+        for oc in [0usize, 2, 5] {
+            for ic in [1usize, 3] {
+                bits[(oc * 4 + ic) * 9..][..9].fill(1.0);
+            }
+        }
+        install_mask(&mut conv, bits);
+        assert!(conv.has_rect_path());
+        crate::gradcheck::check_params_only_backward(&conv, &[3, 4, 8, 8]);
     }
 
     #[test]

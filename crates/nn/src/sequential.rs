@@ -81,28 +81,36 @@ impl Sequential {
 
     /// [`Sequential::forward`] with an explicit scratch [`Workspace`]
     /// threaded through every layer; numerically identical to the plain
-    /// forward, without per-layer heap allocation.
+    /// forward, without per-layer heap allocation. The first layer reads
+    /// `input` in place.
     pub fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the batch input; activations then move layer to layer
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            // An empty model is the identity; the plain forward owns that copy.
+            return self.forward(input, mode);
+        };
+        let mut x = first.forward_ws(input, mode, ws);
+        for layer in rest {
             x = layer.forward_ws(&x, mode, ws);
         }
         x
     }
 
-    /// [`Sequential::backward`] with an explicit scratch [`Workspace`].
+    /// The training backward: fills every parameter's gradient, bit for
+    /// bit as [`Sequential::backward`] does, but computes no gradient
+    /// w.r.t. the model input. The last layer reads `grad_out` in place,
+    /// and the first layer runs [`Layer::backward_params_ws`], so the
+    /// image gradient local SGD would discard is never formed.
     ///
     /// # Panics
     ///
     /// Panics if no training-mode forward preceded this call.
-    pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the output grad; grads then move layer to layer
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_ws(&g, ws);
+    pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward_ws(g.as_ref().unwrap_or(grad_out), ws));
         }
-        g
+        first.backward_params_ws(g.as_ref().unwrap_or(grad_out), ws);
     }
 
     /// Installs each layer's compressed-row fast path from a model mask
@@ -353,6 +361,67 @@ mod tests {
         let logits1 = m.forward(&x, Mode::Eval);
         let (loss1, _) = softmax_cross_entropy(&logits1, &labels);
         assert!(loss1 < loss0, "loss should drop: {loss0} -> {loss1}");
+    }
+
+    /// Oracle for [`Sequential::backward_ws`]: the full backward on every
+    /// layer, model-input gradient included.
+    fn backward_every_layer(m: &mut Sequential, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        let mut g = grad_out.clone();
+        for layer in m.layers_mut().iter_mut().rev() {
+            g = layer.backward_ws(&g, ws);
+        }
+        g
+    }
+
+    #[test]
+    fn backward_ws_grads_equal_every_layer_oracle() {
+        use crate::models::ModelSpec;
+        for spec in [
+            ModelSpec::cnn5(1, 28, 28, 10),
+            ModelSpec::lenet5(3, 32, 32, 10),
+            ModelSpec::vgg_lite(3, 16, 16, 10),
+        ] {
+            for masked in [false, true] {
+                let mut rng = SeededRng::new(9);
+                let mut model = spec.build(&mut rng);
+                if masked {
+                    // ~74% of every weight tensor pruned, biases kept.
+                    let mut mask = ModelMask::ones_for(&model);
+                    for (t, kind) in mask.tensors_mut().iter_mut().zip(model.metas()) {
+                        if matches!(kind.kind, ParamKind::ConvWeight | ParamKind::FcWeight) {
+                            for bit in t.data_mut() {
+                                *bit = f32::from(u8::from(rng.uniform_f32(0.0, 1.0) < 0.26));
+                            }
+                        }
+                    }
+                    mask.apply(&mut model);
+                    model.install_sparsity(&mask);
+                }
+                let [c, h, w] = spec.input_shape();
+                let x = uniform(&[5, c, h, w], -1.0, 1.0, &mut rng);
+                let labels = [0usize, 3, 7, 1, 9];
+                let mut oracle = model.clone();
+                let (mut ws, mut ws_oracle) = (Workspace::new(), Workspace::new());
+                for _ in 0..2 {
+                    let logits = model.forward_ws(&x, Mode::Train, &mut ws);
+                    let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                    model.backward_ws(&grad, &mut ws);
+                    let logits = oracle.forward_ws(&x, Mode::Train, &mut ws_oracle);
+                    let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                    let dx = backward_every_layer(&mut oracle, &grad, &mut ws_oracle);
+                    assert_eq!(dx.shape(), x.shape());
+                    for (i, (p, q)) in model.params().iter().zip(oracle.params()).enumerate() {
+                        let bits =
+                            |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&p.grad),
+                            bits(&q.grad),
+                            "{spec:?} masked={masked} param {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
