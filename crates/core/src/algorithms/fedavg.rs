@@ -6,10 +6,9 @@
 //! personalized test set — which is exactly where a single model falls
 //! apart under pathological non-IID.
 
-use super::common::record_round;
-use crate::{fedavg_aggregate, train_client_ws, FederatedAlgorithm, Federation, History};
+use super::common::{record_round, train_traced};
+use crate::{fedavg_aggregate, FederatedAlgorithm, Federation, History};
 use subfed_metrics::comm::dense_transfer_bytes;
-use subfed_metrics::flops;
 use subfed_metrics::trace::TraceEvent;
 
 /// Traditional FedAvg (Table 1's "FedAvg" row).
@@ -73,53 +72,14 @@ impl FederatedAlgorithm for FedAvg {
         for round in 1..=fed.config().rounds {
             let round_span = fed.tracer().span();
             let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                // Every sampled client dropped: the round is lost but the
-                // federation carries on with the previous global model.
-                let flats: Vec<Vec<f32>> = vec![global.clone(); fed.num_clients()];
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &flats,
-                    cum_bytes,
-                    subfed_metrics::trace::model_hash(&global),
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
             let prox_mu = self.prox_mu;
             // Quantised transfers degrade the *downloaded* model too.
             let download = self.maybe_quantize(&global);
             let download_ref = &download;
-            let dense_flops = flops::dense_flops(fed.spec());
             let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    download_ref,
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    prox_mu.map(|mu| (download_ref.as_slice(), mu)),
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    // Dense training: the compute path does the full work.
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
+                let data = fed.client_data(i);
+                let prox = prox_mu.map(|mu| (download_ref.as_slice(), mu));
+                train_traced(fed, round, i, download_ref, &data, None, prox)
             });
             let transfer = if self.quantized {
                 // 1 byte per parameter + the 8-byte affine header.
@@ -136,13 +96,17 @@ impl FederatedAlgorithm for FedAvg {
                     (self.maybe_quantize(&o.final_flat), fed.client_data(i).train.len())
                 })
                 .collect();
-            let agg_span = fed.tracer().span();
-            global = fedavg_aggregate(&updates);
-            fed.tracer().emit(TraceEvent::Aggregate {
-                round,
-                us: agg_span.elapsed_us(),
-                updates: updates.len(),
-            });
+            // Every sampled client dropped: the round is lost but the
+            // federation carries on with the previous global model.
+            if !updates.is_empty() {
+                let agg_span = fed.tracer().span();
+                global = fedavg_aggregate(&updates);
+                fed.tracer().emit(TraceEvent::Aggregate {
+                    round,
+                    us: agg_span.elapsed_us(),
+                    updates: updates.len(),
+                });
+            }
             cum_bytes += ids.len() as u64 * transfer * 2;
             // Traditional FL: every client is served the single global
             // model.

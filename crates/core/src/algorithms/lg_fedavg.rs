@@ -7,9 +7,8 @@
 //! dominates), matching Table 1 where LG-FedAvg's cost is slightly below
 //! FedAvg's.
 
-use super::common::record_round;
-use crate::{train_client_ws, FederatedAlgorithm, Federation, History};
-use subfed_metrics::flops;
+use super::common::{record_round, train_traced};
+use crate::{FederatedAlgorithm, Federation, History};
 use subfed_metrics::trace::TraceEvent;
 use subfed_nn::ParamKind;
 
@@ -64,26 +63,9 @@ impl FederatedAlgorithm for LgFedAvg {
         for round in 1..=fed.config().rounds {
             let round_span = fed.tracer().span();
             let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &local_flats,
-                    cum_bytes,
-                    // LG-FedAvg's server model is the shared head.
-                    subfed_metrics::trace::model_hash(&global_head),
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
             let locals = &local_flats;
             let head_ranges = &self.head;
             let global_ref = &global_head;
-            let dense_flops = flops::dense_flops(fed.spec());
             let outcomes = fed.par_map(&ids, |i| {
                 // Download: overwrite the head with the global head, keep
                 // the local representation.
@@ -91,49 +73,31 @@ impl FederatedAlgorithm for LgFedAvg {
                 for &(off, len) in head_ranges {
                     start[off..off + len].copy_from_slice(&global_ref[off..off + len]);
                 }
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &start,
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
+                train_traced(fed, round, i, &start, &fed.client_data(i), None, None)
             });
-            // Upload: average the heads, weighted by sample count.
-            let agg_span = fed.tracer().span();
-            let total: usize = ids.iter().map(|&i| fed.client_data(i).train.len()).sum();
-            let mut new_head = vec![0.0f32; global_head.len()];
-            for (out, &i) in outcomes.iter().zip(ids.iter()) {
-                let w = fed.client_data(i).train.len() as f32 / total as f32;
-                for &(off, len) in &self.head {
-                    for (dst, &src) in
-                        new_head[off..off + len].iter_mut().zip(&out.final_flat[off..off + len])
-                    {
-                        *dst += w * src;
+            // Upload: average the heads, weighted by sample count. A round
+            // nobody survived keeps the previous head.
+            if !ids.is_empty() {
+                let agg_span = fed.tracer().span();
+                let total: usize = ids.iter().map(|&i| fed.client_data(i).train.len()).sum();
+                let mut new_head = vec![0.0f32; global_head.len()];
+                for (out, &i) in outcomes.iter().zip(ids.iter()) {
+                    let w = fed.client_data(i).train.len() as f32 / total as f32;
+                    for &(off, len) in &self.head {
+                        for (dst, &src) in
+                            new_head[off..off + len].iter_mut().zip(&out.final_flat[off..off + len])
+                        {
+                            *dst += w * src;
+                        }
                     }
                 }
+                self.copy_head(&mut global_head, &new_head);
+                fed.tracer().emit(TraceEvent::Aggregate {
+                    round,
+                    us: agg_span.elapsed_us(),
+                    updates: ids.len(),
+                });
             }
-            self.copy_head(&mut global_head, &new_head);
-            fed.tracer().emit(TraceEvent::Aggregate {
-                round,
-                us: agg_span.elapsed_us(),
-                updates: ids.len(),
-            });
             for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
                 fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: head_bytes });
                 fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: head_bytes });

@@ -8,10 +8,9 @@
 //! cohort (upload its own, download every peer's), which is why MTL is by
 //! far the most expensive row of Table 1.
 
-use super::common::record_round;
-use crate::{train_client_ws, FederatedAlgorithm, Federation, History};
+use super::common::{record_round, train_traced};
+use crate::{FederatedAlgorithm, Federation, History};
 use subfed_metrics::comm::{dense_transfer_bytes, mtl_run_bytes};
-use subfed_metrics::flops;
 use subfed_metrics::trace::TraceEvent;
 
 /// Federated MTL (Table 1's "MTL" row).
@@ -48,23 +47,8 @@ impl FederatedAlgorithm for FedMtl {
         let mut last_bytes = 0u64;
         for round in 1..=fed.config().rounds {
             let round_span = fed.tracer().span();
+            // A round nobody survived trains and exchanges nothing.
             let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &local_flats,
-                    last_bytes,
-                    // MTL keeps no server model; 0 = "not recorded".
-                    0,
-                    0.0,
-                    0.0,
-                    Vec::new(),
-                    round_span,
-                );
-                continue;
-            }
             // Cohort mean of the sampled tasks — the coupling anchor.
             let mut mean = vec![0.0f32; num_params];
             for &i in &ids {
@@ -75,30 +59,9 @@ impl FederatedAlgorithm for FedMtl {
             let locals = &local_flats;
             let mean_ref = &mean;
             let coupling = self.coupling;
-            let dense_flops = flops::dense_flops(fed.spec());
             let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &locals[i],
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    if coupling > 0.0 { Some((mean_ref.as_slice(), coupling)) } else { None },
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
+                let prox = (coupling > 0.0).then_some((mean_ref.as_slice(), coupling));
+                train_traced(fed, round, i, &locals[i], &fed.client_data(i), None, prox)
             });
             let dense = dense_transfer_bytes(num_params);
             for (out, &i) in outcomes.into_iter().zip(ids.iter()) {

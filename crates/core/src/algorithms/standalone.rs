@@ -3,9 +3,8 @@
 //! surprisingly strong baseline (each client solves a 2-class problem),
 //! which is exactly the paper's point about traditional FedAvg.
 
-use super::common::record_round;
-use crate::{train_client_ws, FedConfig, FederatedAlgorithm, Federation, History};
-use subfed_metrics::flops;
+use super::common::{record_round, train_traced};
+use crate::{FedConfig, FederatedAlgorithm, Federation, History};
 use subfed_metrics::trace::TraceEvent;
 
 /// Local-only training (Table 1's "Standalone" row).
@@ -62,30 +61,8 @@ impl FederatedAlgorithm for Standalone {
                 }
             }
             let flats = &local_flats;
-            let dense_flops = flops::dense_flops(fed.spec());
             let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    &flats[i],
-                    &fed.client_data(i),
-                    fed.config(),
-                    None,
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    effective_flops: dense_flops,
-                    dense_flops,
-                });
-                out
+                train_traced(fed, round, i, &flats[i], &fed.client_data(i), None, None)
             });
             for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
                 local_flats[i] = out.final_flat;

@@ -6,16 +6,13 @@
 //! the FC weights. The combined parameter mask — channel expansion
 //! intersected with the FC mask — is what trains, travels, and aggregates.
 
-use super::common::{apply_flat_mask, kept_count, record_round};
+use super::common::{download, record_gates, record_round, train_traced, upload};
 use crate::{
-    flatten_mask, invariants, subfedavg_aggregate, train_client_ws, wire, FederatedAlgorithm,
-    Federation, History,
+    flatten_mask, invariants, subfedavg_aggregate, FederatedAlgorithm, Federation, History,
 };
-use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes};
-use subfed_metrics::flops;
 use subfed_metrics::trace::TraceEvent;
 use subfed_nn::ModelMask;
-use subfed_pruning::{ChannelMask, GateDecision, HybridController};
+use subfed_pruning::{ChannelMask, HybridController};
 
 /// Per-client pruning state for the hybrid algorithm.
 #[derive(Debug, Clone)]
@@ -87,62 +84,15 @@ impl FederatedAlgorithm for SubFedAvgHy {
         for round in 1..=fed.config().rounds {
             let round_span = fed.tracer().span();
             let ids = fed.begin_round(round);
-            if ids.is_empty() {
-                let per_client_pruned: Vec<f32> = states
-                    .iter()
-                    .map(|s| s.mask.pruned_fraction(|k| k.is_prunable_weight()))
-                    .collect();
-                let avg = per_client_pruned.iter().sum::<f32>() / per_client_pruned.len() as f32;
-                let avg_ch = states.iter().map(|s| s.channels.pruned_fraction()).sum::<f32>()
-                    / states.len() as f32;
-                record_round(
-                    &mut history,
-                    fed,
-                    round,
-                    &local_flats,
-                    cum_bytes,
-                    subfed_metrics::trace::model_hash(&global),
-                    avg,
-                    avg_ch,
-                    per_client_pruned,
-                    round_span,
-                );
-                continue;
-            }
             let states_ref = &states;
             let global_ref = &global;
-            let dense_flops = flops::dense_flops(fed.spec());
             let outcomes = fed.par_map(&ids, |i| {
-                let span = fed.tracer().span();
-                let mut ws = fed.workspace();
-                let out = train_client_ws(
-                    fed.spec(),
-                    global_ref,
-                    &fed.client_data(i),
-                    fed.config(),
-                    Some(&states_ref[i].mask),
-                    None,
-                    fed.client_seed(round, i),
-                    &mut ws,
-                );
-                fed.tracer().emit(TraceEvent::ClientTrain {
-                    round,
-                    client: i,
-                    us: span.elapsed_us(),
-                    val_acc: out.val_acc,
-                    train_loss: out.mean_train_loss,
-                    // Per-kept-weight work of this client's hybrid mask.
-                    effective_flops: flops::effective_flops(fed.spec(), &states_ref[i].mask),
-                    dense_flops,
-                });
-                out
+                let data = fed.client_data(i);
+                train_traced(fed, round, i, global_ref, &data, Some(&states_ref[i].mask), None)
             });
             let mut updates: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(ids.len());
             for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
-                let flat_mask_before = flatten_mask(&states[i].mask);
-                let download = masked_transfer_bytes(kept_count(&flat_mask_before));
-                cum_bytes += download;
-                fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
+                cum_bytes += download(fed, round, i, states[i].mask.kept_count(|_| true));
                 let prune_span = fed.tracer().span();
                 let mut model_fe = fed.build_model();
                 model_fe.load_flat(&out.first_epoch_flat);
@@ -155,95 +105,38 @@ impl FederatedAlgorithm for SubFedAvgHy {
                     &states[i].unstructured,
                     out.val_acc,
                 );
-                // Gate boundary: each track's computed Δ must live in [0, 1].
-                invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                    [decision.structured.mask_distance, decision.unstructured.mask_distance]
-                        .into_iter()
-                        .flatten()
-                        .try_for_each(invariants::check_hamming_domain)
-                });
+                let gates = [("channel", &decision.structured), ("un", &decision.unstructured)];
+                record_gates(fed, round, i, out.val_acc, prune_span, &gates);
                 let mask_changed = step.gate.structured_fired || step.gate.unstructured_fired;
                 states[i] = ClientState {
                     channels: step.channels,
                     unstructured: step.unstructured,
                     mask: step.mask,
                 };
-                if fed.tracer().is_enabled() {
-                    fed.tracer().emit(TraceEvent::ClientPrune {
-                        round,
-                        client: i,
-                        us: prune_span.elapsed_us(),
-                    });
-                    let gate = |track: &str, d: &GateDecision| TraceEvent::PruneGate {
-                        round,
-                        client: i,
-                        track: track.to_string(),
-                        fired: d.reason.fired(),
-                        reason: d.reason.as_str().to_string(),
-                        val_acc: out.val_acc,
-                        mask_distance: d.mask_distance,
-                        pruned_fraction: d.pruned_fraction,
-                    };
-                    fed.tracer().emit(gate("channel", &decision.structured));
-                    fed.tracer().emit(gate("un", &decision.unstructured));
-                }
-                let flat_mask = flatten_mask(&states[i].mask);
                 let mut final_flat = out.final_flat;
-                apply_flat_mask(&mut final_flat, &flat_mask);
-                let kept = kept_count(&flat_mask);
-                let mut upload = masked_transfer_bytes(kept);
-                if mask_changed {
-                    upload += mask_bytes(flat_mask.len());
-                }
-                cum_bytes += upload;
-                local_flats[i] = final_flat.clone();
-                // As in the unstructured algorithm, uploads go through the
-                // lossless wire codec; the decoded tuple is what the server
-                // aggregates.
-                let enc_span = fed.tracer().span();
-                let buf = wire::encode_update(&final_flat, &flat_mask);
-                fed.tracer().emit(TraceEvent::Encode {
-                    round,
-                    client: i,
-                    us: enc_span.elapsed_us(),
-                    bytes: buf.len() as u64,
-                    kept,
-                });
-                let dec_span = fed.tracer().span();
-                // Produced by `encode_update` two lines up; failure here is
-                // a codec bug, not a recoverable condition.
-                // lint: allow(no-unwrap)
-                let decoded = wire::decode_update(&buf).expect("self-encoded update decodes");
-                // Decode boundary: model-sized update, strictly binary mask.
-                invariants::enforce_with(
-                    fed.tracer(),
-                    round,
-                    &format!("decode client {i}"),
-                    || {
-                        invariants::check_update_shape(&decoded.0, &decoded.1, flat_mask.len())?;
-                        invariants::check_mask_binary(&decoded.1)
-                    },
-                );
-                fed.tracer().emit(TraceEvent::Decode {
-                    round,
-                    client: i,
-                    us: dec_span.elapsed_us(),
-                    bytes: buf.len() as u64,
-                });
-                fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: upload });
-                updates.push(decoded);
+                let flat_mask = flatten_mask(&states[i].mask);
+                let up = upload(fed, round, i, &mut final_flat, &flat_mask, mask_changed);
+                cum_bytes += up.bytes;
+                // Copied into the resident buffer, not moved: a worker-
+                // allocated vector held across rounds pins that worker's
+                // malloc arena (classic-hy peak RSS +4 %).
+                local_flats[i].copy_from_slice(&final_flat);
+                updates.push((up.params, up.mask));
             }
-            let agg_span = fed.tracer().span();
-            // Aggregate boundary: the cohort must cover >= 1 position.
-            invariants::enforce_with(fed.tracer(), round, "aggregate", || {
-                invariants::check_aggregation_coverage(&updates, global.len())
-            });
-            global = subfedavg_aggregate(&global, &updates);
-            fed.tracer().emit(TraceEvent::Aggregate {
-                round,
-                us: agg_span.elapsed_us(),
-                updates: updates.len(),
-            });
+            // A round nobody survived trains nothing and aggregates nothing.
+            if !updates.is_empty() {
+                let agg_span = fed.tracer().span();
+                // Aggregate boundary: the cohort must cover >= 1 position.
+                invariants::enforce_with(fed.tracer(), round, "aggregate", || {
+                    invariants::check_aggregation_coverage(&updates, global.len())
+                });
+                global = subfedavg_aggregate(&global, &updates);
+                fed.tracer().emit(TraceEvent::Aggregate {
+                    round,
+                    us: agg_span.elapsed_us(),
+                    updates: updates.len(),
+                });
+            }
             let n = states.len() as f32;
             let per_client_pruned: Vec<f32> =
                 states.iter().map(|s| s.mask.pruned_fraction(|k| k.is_prunable_weight())).collect();

@@ -17,19 +17,24 @@
 //! Evaluation is personalized: each client's last trained subnetwork on its
 //! own test set.
 //!
+//! Steps 1 and 3 and the gate bookkeeping of step 2 are the shared
+//! client-pipeline stages in `algorithms::common` — the same ones
+//! Sub-FedAvg (Hy) and the registry-scale [`crate::ScaledSubFedAvg`] run.
+//! This driver adds only the pruning call, the per-client state write-back
+//! (including the lottery-rewind extension) and the batch aggregators of
+//! [`SubFedAvgOptions`].
+//!
 //! The implementation is a resumable state machine: [`SubFedAvgUn::run`]
 //! drives [`SubFedAvgUn::step_round`] to the configured horizon, and the
 //! server-persistent part of the state (round counter, global parameters,
 //! client masks) round-trips through [`crate::checkpoint::Checkpoint`].
 
-use super::common::{apply_flat_mask, kept_count, record_round};
+use super::common::{apply_flat_mask, download, record_gates, record_round, train_traced, upload};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::{
-    flatten_mask, invariants, subfedavg_aggregate, train_client_ws, unflatten_mask, wire,
-    FederatedAlgorithm, Federation, History,
+    flatten_mask, invariants, subfedavg_aggregate, unflatten_mask, FederatedAlgorithm, Federation,
+    History,
 };
-use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes};
-use subfed_metrics::flops;
 use subfed_metrics::trace::TraceEvent;
 use subfed_nn::ModelMask;
 use subfed_pruning::UnstructuredController;
@@ -237,60 +242,15 @@ impl SubFedAvgUn {
         }
         let round_span = fed.tracer().span();
         let ids = fed.begin_round(round);
-        if ids.is_empty() {
-            let per_client_pruned = self.pruned_fractions(&state.masks);
-            let avg = per_client_pruned.iter().sum::<f32>() / per_client_pruned.len() as f32;
-            record_round(
-                &mut state.history,
-                fed,
-                round,
-                &state.local_flats,
-                state.cum_bytes,
-                subfed_metrics::trace::model_hash(&state.global),
-                avg,
-                0.0,
-                per_client_pruned,
-                round_span,
-            );
-            state.next_round += 1;
-            self.state = Some(state);
-            return;
-        }
         let masks_ref = &state.masks;
         let global_ref = &state.global;
-        let dense_flops = flops::dense_flops(fed.spec());
         let outcomes = fed.par_map(&ids, |i| {
-            let span = fed.tracer().span();
-            let mut ws = fed.workspace();
-            let out = train_client_ws(
-                fed.spec(),
-                global_ref,
-                &fed.client_data(i),
-                fed.config(),
-                Some(&masks_ref[i]),
-                None,
-                fed.client_seed(round, i),
-                &mut ws,
-            );
-            fed.tracer().emit(TraceEvent::ClientTrain {
-                round,
-                client: i,
-                us: span.elapsed_us(),
-                val_acc: out.val_acc,
-                train_loss: out.mean_train_loss,
-                // Per-kept-weight work of this client's subnetwork.
-                effective_flops: flops::effective_flops(fed.spec(), &masks_ref[i]),
-                dense_flops,
-            });
-            out
+            let data = fed.client_data(i);
+            train_traced(fed, round, i, global_ref, &data, Some(&masks_ref[i]), None)
         });
         let mut updates: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(ids.len());
         for (out, &i) in outcomes.into_iter().zip(ids.iter()) {
-            let flat_mask_before = flatten_mask(&state.masks[i]);
-            // Download cost: the masked global.
-            let download = masked_transfer_bytes(kept_count(&flat_mask_before));
-            state.cum_bytes += download;
-            fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
+            state.cum_bytes += download(fed, round, i, state.masks[i].kept_count(|_| true));
             // Pruning decision from the two weight snapshots.
             let prune_span = fed.tracer().span();
             let (new_mask, decision) = controller.step_explained_flat(
@@ -299,110 +259,51 @@ impl SubFedAvgUn {
                 &state.masks[i],
                 out.val_acc,
             );
-            // Gate boundary: the decision's measurements must live in
-            // their domains. (A non-finite accuracy is tolerated — the
-            // controller is NaN-safe and holds the gate — so only a
-            // computed Δ is enforced here.)
-            invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                decision.mask_distance.map_or(Ok(()), invariants::check_hamming_domain)
-            });
-            let mut mask_changed = false;
+            record_gates(fed, round, i, out.val_acc, prune_span, &[("un", &decision)]);
+            let mask_changed = new_mask.is_some();
             if let Some(new_mask) = new_mask {
                 state.masks[i] = new_mask;
-                mask_changed = true;
             }
-            if fed.tracer().is_enabled() {
-                fed.tracer().emit(TraceEvent::ClientPrune {
-                    round,
-                    client: i,
-                    us: prune_span.elapsed_us(),
-                });
-                fed.tracer().emit(TraceEvent::PruneGate {
-                    round,
-                    client: i,
-                    track: "un".to_string(),
-                    fired: decision.reason.fired(),
-                    reason: decision.reason.as_str().to_string(),
-                    val_acc: out.val_acc,
-                    mask_distance: decision.mask_distance,
-                    pruned_fraction: decision.pruned_fraction,
-                });
-            }
-            let flat_mask = flatten_mask(&state.masks[i]);
-            // θ_k^{j+1} = θ_k^{j,le} ⊙ m_k (Algorithm 1, line 15) — or the
-            // rewound ticket θ₀ ⊙ m_k under the lottery-ticket extension.
+            // θ_k^{j,le} — or the rewound ticket θ₀ under the
+            // lottery-ticket extension — masked by `upload`.
             let mut final_flat = if mask_changed && options.rewind_to_init {
                 state.init_flat.clone()
             } else {
                 out.final_flat
             };
-            apply_flat_mask(&mut final_flat, &flat_mask);
-            // Upload cost: kept parameters, plus the packed mask when it
-            // changed this round.
-            let kept = kept_count(&flat_mask);
-            let mut upload = masked_transfer_bytes(kept);
-            if mask_changed {
-                upload += mask_bytes(flat_mask.len());
-            }
-            state.cum_bytes += upload;
-            state.local_flats[i] = final_flat.clone();
-            // The upload really goes through the wire codec: encode the
-            // masked update, then decode the buffer on the "server" side
-            // and aggregate the decoded tuple. The codec is lossless (bit
-            // round-trip of kept f32s), so this does not perturb the
-            // training trajectory; `History` byte accounting stays on the
-            // analytical `comm` model above, while the trace reports the
-            // real buffer length.
-            let enc_span = fed.tracer().span();
-            let buf = wire::encode_update(&final_flat, &flat_mask);
-            fed.tracer().emit(TraceEvent::Encode {
-                round,
-                client: i,
-                us: enc_span.elapsed_us(),
-                bytes: buf.len() as u64,
-                kept,
-            });
-            let dec_span = fed.tracer().span();
-            // The buffer was produced by `encode_update` two lines up, so
-            // decoding cannot fail; a failure here is a codec bug.
-            let (dec_params, dec_mask) =
-                // lint: allow(no-unwrap)
-                wire::decode_update(&buf).expect("self-encoded update decodes");
-            // Decode boundary: the decoded update must fit the model and
-            // carry a strictly binary mask.
-            invariants::enforce_with(fed.tracer(), round, &format!("decode client {i}"), || {
-                invariants::check_update_shape(&dec_params, &dec_mask, flat_mask.len())?;
-                invariants::check_mask_binary(&dec_mask)
-            });
-            fed.tracer().emit(TraceEvent::Decode {
-                round,
-                client: i,
-                us: dec_span.elapsed_us(),
-                bytes: buf.len() as u64,
-            });
-            fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: upload });
-            updates.push((dec_params, dec_mask));
+            let flat_mask = flatten_mask(&state.masks[i]);
+            let up = upload(fed, round, i, &mut final_flat, &flat_mask, mask_changed);
+            state.cum_bytes += up.bytes;
+            // Copied, not moved, as in Sub-FedAvg (Hy): keeps long-lived
+            // state out of the workers' malloc arenas.
+            state.local_flats[i].copy_from_slice(&final_flat);
+            updates.push((up.params, up.mask));
         }
-        let agg_span = fed.tracer().span();
-        let num_updates = updates.len();
-        // Aggregate boundary: a non-empty cohort must cover at least one
-        // position, or intersection averaging silently no-ops the round.
-        invariants::enforce_with(fed.tracer(), round, "aggregate", || {
-            invariants::check_aggregation_coverage(&updates, state.global.len())
-        });
-        state.global = if options.plain_average {
-            let dense: Vec<(Vec<f32>, usize)> = updates.into_iter().map(|(p, _)| (p, 1)).collect();
-            crate::fedavg_aggregate(&dense)
-        } else if options.trim > 0 {
-            crate::subfedavg_aggregate_trimmed(&state.global, &updates, options.trim)
-        } else {
-            subfedavg_aggregate(&state.global, &updates)
-        };
-        fed.tracer().emit(TraceEvent::Aggregate {
-            round,
-            us: agg_span.elapsed_us(),
-            updates: num_updates,
-        });
+        // A round nobody survived trains nothing and aggregates nothing.
+        if !updates.is_empty() {
+            let agg_span = fed.tracer().span();
+            let num_updates = updates.len();
+            // Aggregate boundary: a non-empty cohort must cover at least
+            // one position, or intersection averaging silently no-ops the
+            // round.
+            invariants::enforce_with(fed.tracer(), round, "aggregate", || {
+                invariants::check_aggregation_coverage(&updates, state.global.len())
+            });
+            state.global = if options.plain_average {
+                let dense: Vec<(Vec<f32>, usize)> =
+                    updates.into_iter().map(|(p, _)| (p, 1)).collect();
+                crate::fedavg_aggregate(&dense)
+            } else if options.trim > 0 {
+                crate::subfedavg_aggregate_trimmed(&state.global, &updates, options.trim)
+            } else {
+                subfedavg_aggregate(&state.global, &updates)
+            };
+            fed.tracer().emit(TraceEvent::Aggregate {
+                round,
+                us: agg_span.elapsed_us(),
+                updates: num_updates,
+            });
+        }
         let per_client_pruned = self.pruned_fractions(&state.masks);
         let avg_pruned = per_client_pruned.iter().sum::<f32>() / per_client_pruned.len() as f32;
         record_round(

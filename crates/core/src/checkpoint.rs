@@ -19,7 +19,10 @@ pub struct Checkpoint {
 
 const MAGIC: u32 = 0x5342_4643; // "SBFC"
 
-/// What went wrong restoring or persisting a checkpoint.
+/// What went wrong restoring or persisting a checkpoint, or resuming the
+/// registry-scale driver from a reloaded registry
+/// ([`crate::ScaledSubFedAvg::with_registry`],
+/// [`crate::ScaledSubFedAvg::set_global`]).
 ///
 /// Checkpoint images live on disk across process restarts, so
 /// [`Checkpoint::decode`] treats them as untrusted input: every structural
@@ -52,20 +55,20 @@ pub enum CheckpointError {
     },
     /// Header-declared lengths overflow the platform's address range.
     LengthOverflow,
-    /// The global parameter count differs from the restoring federation's
-    /// model.
+    /// The restored global parameter count — or a reloaded registry's
+    /// mask length — differs from the restoring federation's model.
     ModelSizeMismatch {
         /// Parameters in the federation's model.
         expected: usize,
-        /// Parameters in the checkpoint.
+        /// Parameters (or mask entries) restored.
         got: usize,
     },
-    /// The client-mask count differs from the restoring federation's
-    /// population.
+    /// The checkpoint's client-mask count — or a reloaded registry's
+    /// population — differs from the restoring federation's population.
     ClientCountMismatch {
         /// Clients in the federation.
         expected: usize,
-        /// Client masks in the checkpoint.
+        /// Clients restored.
         got: usize,
     },
     /// One client's mask length differs from the model's parameter count.
@@ -98,11 +101,11 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "header-declared lengths overflow the platform's address range")
             }
             Self::ModelSizeMismatch { expected, got } => {
-                write!(f, "checkpoint model size mismatch ({got} parameters, model has {expected})")
+                write!(f, "model size mismatch ({got} parameters restored, model has {expected})")
             }
             Self::ClientCountMismatch { expected, got } => write!(
                 f,
-                "checkpoint client count mismatch ({got} masks, federation has {expected} clients)"
+                "client count mismatch ({got} clients restored, federation has {expected})"
             ),
             Self::MaskLengthMismatch { client, expected, got } => write!(
                 f,

@@ -4,10 +4,14 @@
 //! [`crate::algorithms::SubFedAvgUn`] materializes per-client vectors
 //! (`local_flats`, `masks`) for the *whole* federation and evaluates every
 //! client every eval round — the right shape at the paper's 100 clients,
-//! impossible at a million. [`ScaledSubFedAvg`] keeps the same per-round
-//! client pipeline (train → download accounting → prune → gate → encode →
-//! decode → upload) and the same byte/FLOP accounting, but:
+//! impossible at a million. [`ScaledSubFedAvg`] runs the same per-client
+//! stages — the `algorithms::common` helpers for train, download, gate and
+//! upload (encode → decode → invariants) — with the same byte/FLOP
+//! accounting and trace events; only the pruning call between them and
+//! what happens around them differ:
 //!
+//! * placement: a client's whole pipeline runs in its worker, where the
+//!   classic drivers train in workers and run the later stages serially;
 //! * per-client server state lives in a [`ClientRegistry`] (packed mask
 //!   bits in a compact arena, implicit all-ones until a client first
 //!   prunes);
@@ -30,14 +34,12 @@
 //! month does not keep last month's weights). `docs/SCALING.md` walks
 //! through the architecture and its memory model.
 
-use crate::algorithms::common::{apply_flat_mask, is_eval_round, kept_count};
+use crate::algorithms::common::{download, is_eval_round, record_gates, train_traced, upload};
+use crate::checkpoint::CheckpointError;
 use crate::registry::ClientRegistry;
 use crate::stream_agg::OrderedAccumulator;
-use crate::{
-    evaluate_accuracy, flatten_mask, invariants, train_client_ws, unflatten_mask, wire, Federation,
-};
-use subfed_metrics::comm::{mask_bytes, masked_transfer_bytes, pack_mask};
-use subfed_metrics::flops;
+use crate::{evaluate_accuracy, flatten_mask, invariants, unflatten_mask, Federation};
+use subfed_metrics::comm::pack_mask;
 use subfed_metrics::trace::{self, TraceEvent};
 use subfed_nn::{ModelMask, Sequential};
 use subfed_pruning::UnstructuredController;
@@ -128,21 +130,38 @@ impl ScaledSubFedAvg {
     /// counters carry over; the global restarts from θ₀ unless the caller
     /// also restores it via [`ScaledSubFedAvg::set_global`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the registry's population or model size disagrees with
-    /// the federation.
+    /// [`CheckpointError::ClientCountMismatch`] when the registry's
+    /// population differs from the federation's, or
+    /// [`CheckpointError::ModelSizeMismatch`] when its mask length differs
+    /// from the model's parameter count. A registry image is untrusted
+    /// input: it may come from another federation or another model.
+    #[must_use = "a dropped Result hides a registry that did not fit"]
     pub fn with_registry(
         fed: Federation,
         controller: UnstructuredController,
         registry: ClientRegistry,
-    ) -> Self {
+    ) -> Result<Self, CheckpointError> {
+        if registry.registered() != fed.num_clients() {
+            return Err(CheckpointError::ClientCountMismatch {
+                expected: fed.num_clients(),
+                got: registry.registered(),
+            });
+        }
         let model = fed.build_model();
-        Self::from_model(fed, controller, registry, &model)
+        if registry.mask_len() != model.num_params() {
+            return Err(CheckpointError::ModelSizeMismatch {
+                expected: model.num_params(),
+                got: registry.mask_len(),
+            });
+        }
+        Ok(Self::from_model(fed, controller, registry, &model))
     }
 
     /// Assembles the driver around `model`, the federation's θ₀, from
-    /// which both the global and the mask layout are taken.
+    /// which both the global and the mask layout are taken. The registry
+    /// must fit the federation.
     fn from_model(
         fed: Federation,
         controller: UnstructuredController,
@@ -150,8 +169,6 @@ impl ScaledSubFedAvg {
         model: &Sequential,
     ) -> Self {
         let global = model.flatten();
-        assert_eq!(registry.registered(), fed.num_clients(), "registry population mismatch");
-        assert_eq!(registry.mask_len(), global.len(), "registry model size mismatch");
         let layout = ModelMask::ones_for(model);
         Self {
             fed,
@@ -167,12 +184,20 @@ impl ScaledSubFedAvg {
 
     /// Overwrites the server's global parameters (cold-start restore).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a length mismatch.
-    pub fn set_global(&mut self, global: Vec<f32>) {
-        assert_eq!(global.len(), self.global.len(), "global length mismatch");
+    /// [`CheckpointError::ModelSizeMismatch`] when `global` does not have
+    /// the model's length; the current global is then left untouched.
+    #[must_use = "a dropped Result hides a global that did not fit"]
+    pub fn set_global(&mut self, global: Vec<f32>) -> Result<(), CheckpointError> {
+        if global.len() != self.global.len() {
+            return Err(CheckpointError::ModelSizeMismatch {
+                expected: self.global.len(),
+                got: global.len(),
+            });
+        }
         self.global = global;
+        Ok(())
     }
 
     /// The federation being driven.
@@ -228,7 +253,6 @@ impl ScaledSubFedAvg {
         let registry = &self.registry;
         let layout = &self.layout;
         let global_ref = &self.global;
-        let dense_flops = flops::dense_flops(fed.spec());
         // Workers are mapped over cohort *slots* (positions in `ids`), not
         // client ids: the slot is the upload's turn in the deterministic
         // fold order, and `par_map`'s strided schedule hands each worker
@@ -241,36 +265,13 @@ impl ScaledSubFedAvg {
             // returns.
             let i = ids[slot];
             let data = fed.client_data(i);
-            let mask_flat_before = registry.mask_flat(i);
             // The registry stores masks of the model's length, so the
             // flat mask always fills the layout.
-            let mask = unflatten_mask(layout, &mask_flat_before);
-            let train_span = fed.tracer().span();
-            let mut ws = fed.workspace();
-            let out = train_client_ws(
-                fed.spec(),
-                global_ref,
-                &data,
-                fed.config(),
-                Some(&mask),
-                None,
-                fed.client_seed(round, i),
-                &mut ws,
-            );
-            fed.tracer().emit(TraceEvent::ClientTrain {
-                round,
-                client: i,
-                us: train_span.elapsed_us(),
-                val_acc: out.val_acc,
-                train_loss: out.mean_train_loss,
-                effective_flops: flops::effective_flops(fed.spec(), &mask),
-                dense_flops,
-            });
-            // Download cost: the masked global under the client's mask as
-            // of the start of the round (full model on first
-            // participation, while the mask is implicitly all ones).
-            let download = masked_transfer_bytes(registry.kept(i));
-            fed.tracer().emit(TraceEvent::Download { round, client: i, bytes: download });
+            let mask = unflatten_mask(layout, &registry.mask_flat(i));
+            let out = train_traced(fed, round, i, global_ref, &data, Some(&mask), None);
+            // Full model on first participation, while the mask is
+            // implicitly all ones.
+            let download = download(fed, round, i, registry.kept(i));
             // Pruning decision from the two weight snapshots.
             let prune_span = fed.tracer().span();
             let (new_mask, decision) = controller.step_explained_flat(
@@ -279,71 +280,16 @@ impl ScaledSubFedAvg {
                 &mask,
                 out.val_acc,
             );
-            invariants::enforce_with(fed.tracer(), round, &format!("gate client {i}"), || {
-                decision.mask_distance.map_or(Ok(()), invariants::check_hamming_domain)
-            });
+            record_gates(fed, round, i, out.val_acc, prune_span, &[("un", &decision)]);
             let mask_changed = new_mask.is_some();
-            let mask_after = new_mask.unwrap_or(mask);
-            if fed.tracer().is_enabled() {
-                fed.tracer().emit(TraceEvent::ClientPrune {
-                    round,
-                    client: i,
-                    us: prune_span.elapsed_us(),
-                });
-                fed.tracer().emit(TraceEvent::PruneGate {
-                    round,
-                    client: i,
-                    track: "un".to_string(),
-                    fired: decision.reason.fired(),
-                    reason: decision.reason.as_str().to_string(),
-                    val_acc: out.val_acc,
-                    mask_distance: decision.mask_distance,
-                    pruned_fraction: decision.pruned_fraction,
-                });
-            }
-            let flat_mask = flatten_mask(&mask_after);
-            // θ_k^{j+1} = θ_k^{j,le} ⊙ m_k (Algorithm 1, line 15).
+            let flat_mask = flatten_mask(&new_mask.unwrap_or(mask));
             let mut final_flat = out.final_flat;
-            apply_flat_mask(&mut final_flat, &flat_mask);
-            let kept = kept_count(&flat_mask);
-            let mut upload = masked_transfer_bytes(kept);
-            if mask_changed {
-                upload += mask_bytes(flat_mask.len());
-            }
-            // The upload goes through the real wire codec, and the decoded
-            // tuple — not the worker's local copy — is what reaches the
-            // accumulator, same trust boundary as the materialized driver.
-            let enc_span = fed.tracer().span();
-            let buf = wire::encode_update(&final_flat, &flat_mask);
-            fed.tracer().emit(TraceEvent::Encode {
-                round,
-                client: i,
-                us: enc_span.elapsed_us(),
-                bytes: buf.len() as u64,
-                kept,
-            });
-            let dec_span = fed.tracer().span();
-            // The buffer was produced by `encode_update` above, so decoding
-            // cannot fail; a failure here is a codec bug.
-            let (dec_params, dec_mask) =
-                // lint: allow(no-unwrap)
-                wire::decode_update(&buf).expect("self-encoded update decodes");
-            invariants::enforce_with(fed.tracer(), round, &format!("decode client {i}"), || {
-                invariants::check_update_shape(&dec_params, &dec_mask, flat_mask.len())?;
-                invariants::check_mask_binary(&dec_mask)
-            });
-            fed.tracer().emit(TraceEvent::Decode {
-                round,
-                client: i,
-                us: dec_span.elapsed_us(),
-                bytes: buf.len() as u64,
-            });
-            fed.tracer().emit(TraceEvent::Upload { round, client: i, bytes: upload });
+            let up = upload(fed, round, i, &mut final_flat, &flat_mask, mask_changed);
             // Each slot is handed in exactly once by the strided
             // schedule, with the lengths the decode invariant just
             // checked, so a rejection here is a driver bug.
             // lint: allow(no-unwrap)
-            acc.fold(slot, dec_params, dec_mask).expect("strided slots fold exactly once");
+            acc.fold(slot, up.params, up.mask).expect("strided slots fold exactly once");
             let test_acc = eval_due.then(|| {
                 let mut model = fed.build_model();
                 model.load_flat(&final_flat);
@@ -352,8 +298,8 @@ impl ScaledSubFedAvg {
             CohortOutcome {
                 val_acc: out.val_acc,
                 test_acc,
-                new_mask: mask_changed.then(|| (pack_mask(&flat_mask), kept)),
-                bytes: download + upload,
+                new_mask: mask_changed.then(|| (pack_mask(&flat_mask), up.kept)),
+                bytes: download + up.bytes,
             }
         });
         // Serial write-back: registry updates and byte accounting in
@@ -531,13 +477,65 @@ mod tests {
         let image = driver.registry().save();
         let restored = ClientRegistry::load(&image).expect("reload");
         let fed2 = scaled_driver(80, 0.1, 1).fed;
-        let resumed = ScaledSubFedAvg::with_registry(
+        let mut resumed = ScaledSubFedAvg::with_registry(
             fed2,
             UnstructuredController::paper_defaults(0.5),
             restored,
-        );
+        )
+        .expect("the registry fits the federation");
+        resumed.set_global(driver.global().to_vec()).expect("the global fits the model");
+        assert_eq!(resumed.global(), driver.global());
         for id in 0..80 {
             assert_eq!(resumed.registry().kept(id), driver.registry().kept(id));
+        }
+    }
+
+    /// `with_registry` over an 80-client federation with `registry`,
+    /// returning the error.
+    fn with_registry_err(registry: ClientRegistry) -> CheckpointError {
+        let fed = scaled_driver(80, 0.1, 1).fed;
+        let controller = UnstructuredController::paper_defaults(0.5);
+        match ScaledSubFedAvg::with_registry(fed, controller, registry) {
+            Ok(_) => panic!("mismatched registry accepted"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn with_registry_rejects_a_population_mismatch() {
+        let params = scaled_driver(80, 0.1, 1).global().len();
+        match with_registry_err(ClientRegistry::new(81, params)) {
+            CheckpointError::ClientCountMismatch { expected, got } => {
+                assert_eq!((expected, got), (80, 81))
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn with_registry_rejects_a_mask_length_mismatch() {
+        let params = scaled_driver(80, 0.1, 1).global().len();
+        match with_registry_err(ClientRegistry::new(80, params + 1)) {
+            CheckpointError::ModelSizeMismatch { expected, got } => {
+                assert_eq!((expected, got), (params, params + 1))
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn set_global_rejects_a_length_mismatch_and_keeps_the_global() {
+        let mut driver = scaled_driver(80, 0.1, 1);
+        let before = driver.global().to_vec();
+        let n = before.len();
+        for len in [n - 1, n + 1] {
+            match driver.set_global(vec![0.5; len]) {
+                Err(CheckpointError::ModelSizeMismatch { expected, got }) => {
+                    assert_eq!((expected, got), (n, len))
+                }
+                other => panic!("wrong result: {other:?}"),
+            }
+            assert_eq!(driver.global(), before.as_slice(), "a rejected global must not land");
         }
     }
 }
