@@ -262,6 +262,18 @@ fn parse_run(args: &[String]) -> Result<RunSpec, String> {
         "quantity" | "quantity-skew" => PartitionKind::QuantitySkew { skew },
         other => return Err(format!("unknown partition `{other}`")),
     };
+    spec.config.check()?;
+    if spec.clients == 0 || spec.num_clients == Some(0) {
+        return Err("a federation needs at least one client".into());
+    }
+    for (flag, v) in [("--target", spec.target), ("--structured-target", spec.structured_target)] {
+        if !(0.0..=1.0).contains(&v) {
+            return Err(format!("{flag} must be in [0, 1], got {v}"));
+        }
+    }
+    if !(spec.rate > 0.0 && spec.rate <= 1.0) {
+        return Err(format!("--rate must be in (0, 1], got {}", spec.rate));
+    }
     Ok(spec)
 }
 
@@ -444,6 +456,62 @@ mod tests {
         assert_eq!(AlgoKind::parse("hy"), Some(AlgoKind::SubFedAvgHy));
         assert_eq!(AlgoKind::parse("LG"), Some(AlgoKind::LgFedAvg));
         assert_eq!(AlgoKind::parse("bogus"), None);
+    }
+
+    /// The error `subfed run <flags>` reports.
+    fn run_err(flags: &str) -> String {
+        parse_args(&argv(&format!("run {flags}"))).unwrap_err()
+    }
+
+    #[test]
+    fn zero_epochs_rejected() {
+        assert!(run_err("--epochs 0").contains("local_epochs must be positive"));
+    }
+
+    #[test]
+    fn zero_workers_rejected() {
+        assert!(run_err("--workers 0").contains("threads must be positive"));
+    }
+
+    #[test]
+    fn frac_above_one_rejected() {
+        assert!(run_err("--frac 1.5").contains("sample_frac must be in (0, 1]"));
+    }
+
+    #[test]
+    fn negative_lr_rejected() {
+        assert!(run_err("--lr -1").contains("lr must be positive"));
+    }
+
+    #[test]
+    fn zero_rounds_rejected() {
+        assert!(run_err("--rounds 0").contains("rounds must be positive"));
+    }
+
+    #[test]
+    fn zero_clients_rejected() {
+        assert!(run_err("--clients 0").contains("at least one client"));
+        assert!(run_err("--num-clients 0").contains("at least one client"));
+    }
+
+    #[test]
+    fn target_outside_unit_interval_rejected() {
+        assert!(run_err("--target 1.5").contains("--target must be in [0, 1]"));
+        assert!(run_err("--target -0.1").contains("--target must be in [0, 1]"));
+        assert!(parse_args(&argv("run --target 0")).is_ok());
+        assert!(parse_args(&argv("run --target 1")).is_ok());
+    }
+
+    #[test]
+    fn structured_target_outside_unit_interval_rejected() {
+        assert!(run_err("--structured-target 2").contains("--structured-target must be in [0, 1]"));
+    }
+
+    #[test]
+    fn rate_outside_half_open_interval_rejected() {
+        assert!(run_err("--rate 0").contains("--rate must be in (0, 1]"));
+        assert!(run_err("--rate 1.2").contains("--rate must be in (0, 1]"));
+        assert!(parse_args(&argv("run --rate 1")).is_ok());
     }
 
     #[test]

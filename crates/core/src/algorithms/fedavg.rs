@@ -161,6 +161,7 @@ impl FederatedAlgorithm for FedProx {
 mod tests {
     use super::*;
     use crate::tests_support::tiny_federation;
+    use subfed_tensor::workspace::Workspace;
 
     #[test]
     fn fedavg_counts_dense_communication() {
@@ -252,7 +253,7 @@ mod tests {
         // client directly (history accuracies can coincide at this scale).
         let fed = tiny_federation(1, 4);
         let global = fed.init_global();
-        let plain = crate::train_client(
+        let plain = crate::train_client_ws(
             fed.spec(),
             &global,
             &fed.client_data(0),
@@ -260,10 +261,11 @@ mod tests {
             None,
             None,
             3,
+            &mut Workspace::new(),
         );
         // A heavy proximal pull dominates the gradient signal, so the
         // distance comparison below is robust at unit-test scale.
-        let prox = crate::train_client(
+        let prox = crate::train_client_ws(
             fed.spec(),
             &global,
             &fed.client_data(0),
@@ -271,6 +273,7 @@ mod tests {
             None,
             Some((global.as_slice(), 20.0)),
             3,
+            &mut Workspace::new(),
         );
         assert_ne!(plain.final_flat, prox.final_flat);
         // Prox keeps the *trainable* update closer to the anchor (BN

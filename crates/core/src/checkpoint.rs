@@ -22,7 +22,7 @@ const MAGIC: u32 = 0x5342_4643; // "SBFC"
 /// What went wrong restoring or persisting a checkpoint, or resuming the
 /// registry-scale driver from a reloaded registry
 /// ([`crate::ScaledSubFedAvg::with_registry`],
-/// [`crate::ScaledSubFedAvg::set_global`]).
+/// [`crate::ScaledSubFedAvg::restore`]).
 ///
 /// Checkpoint images live on disk across process restarts, so
 /// [`Checkpoint::decode`] treats them as untrusted input: every structural

@@ -51,30 +51,41 @@ impl Default for FedConfig {
 }
 
 impl FedConfig {
+    /// Checks every range, returning the first violation as a message:
+    /// zero rounds/epochs/batch/eval interval/threads, a sampling fraction
+    /// outside `(0, 1]`, a non-positive learning rate, or a momentum or
+    /// dropout probability outside `[0, 1)`.
+    ///
+    /// # Errors
+    ///
+    /// The message names the offending field and, for fractions, its value.
+    #[must_use = "a dropped Result hides the out-of-range field it reports"]
+    pub fn check(&self) -> Result<(), String> {
+        let require = |ok: bool, msg: String| if ok { Ok(()) } else { Err(msg) };
+        require(self.rounds > 0, "rounds must be positive".into())?;
+        require(
+            self.sample_frac > 0.0 && self.sample_frac <= 1.0,
+            format!("sample_frac must be in (0, 1], got {}", self.sample_frac),
+        )?;
+        require(self.local_epochs > 0, "local_epochs must be positive".into())?;
+        require(self.batch_size > 0, "batch_size must be positive".into())?;
+        require(self.lr > 0.0, format!("lr must be positive, got {}", self.lr))?;
+        require((0.0..1.0).contains(&self.momentum), "momentum must be in [0, 1)".into())?;
+        require(self.eval_every > 0, "eval_every must be positive".into())?;
+        require(self.threads > 0, "threads must be positive".into())?;
+        require(
+            (0.0..1.0).contains(&self.dropout_prob),
+            format!("dropout_prob must be in [0, 1), got {}", self.dropout_prob),
+        )
+    }
+
     /// Validates ranges; called by the engine constructor.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range values (zero rounds/epochs/batch, sampling
-    /// fraction outside `(0, 1]`, non-positive learning rate).
+    /// Panics with [`FedConfig::check`]'s message on an out-of-range value.
     pub fn validate(&self) {
-        assert!(self.rounds > 0, "rounds must be positive");
-        assert!(
-            self.sample_frac > 0.0 && self.sample_frac <= 1.0,
-            "sample_frac must be in (0, 1], got {}",
-            self.sample_frac
-        );
-        assert!(self.local_epochs > 0, "local_epochs must be positive");
-        assert!(self.batch_size > 0, "batch_size must be positive");
-        assert!(self.lr > 0.0, "lr must be positive");
-        assert!((0.0..1.0).contains(&self.momentum), "momentum must be in [0, 1)");
-        assert!(self.eval_every > 0, "eval_every must be positive");
-        assert!(self.threads > 0, "threads must be positive");
-        assert!(
-            (0.0..1.0).contains(&self.dropout_prob),
-            "dropout_prob must be in [0, 1), got {}",
-            self.dropout_prob
-        );
+        assert_eq!(self.check(), Ok(()), "invalid FedConfig");
     }
 
     /// Number of clients sampled per round for a federation of size `n`

@@ -327,26 +327,11 @@ pub struct LocalOutcome {
 /// `(flat_anchor, μ)`; FedProx anchors at the downloaded global (equal to
 /// `init_flat`), federated MTL anchors at the participant mean.
 ///
-/// # Panics
-///
-/// Panics if the client has no training data or shapes mismatch.
-pub fn train_client(
-    spec: &ModelSpec,
-    init_flat: &[f32],
-    data: &ClientData,
-    cfg: &FedConfig,
-    mask: Option<&ModelMask>,
-    prox: Option<(&[f32], f32)>,
-    seed: u64,
-) -> LocalOutcome {
-    train_client_ws(spec, init_flat, data, cfg, mask, prox, seed, &mut Workspace::new())
-}
-
-/// [`train_client`] with an explicit scratch [`Workspace`] — the hot path
-/// the federation workers use so im2col buffers, matmul panels, and
-/// gradient temporaries are allocated once per client slot and reused
-/// across batches, epochs, and rounds. Bit-identical to [`train_client`]
-/// (`Workspace::take` zero-fills), which is property-tested.
+/// `ws` is the caller's scratch [`Workspace`]: the federation workers keep
+/// one per client slot, so im2col buffers, matmul panels and gradient
+/// temporaries are allocated once and reused across batches, epochs and
+/// rounds. Results do not depend on its history, which
+/// `workspace_reuse_is_bit_identical` tests.
 ///
 /// When a mask is supplied, its compressed-row patterns are installed on
 /// the model for the whole round, so pruned layers do proportionally less
@@ -409,7 +394,8 @@ pub fn train_client_ws(
 }
 
 /// Classification accuracy of `model` on `dataset`, batched evaluation in
-/// [`Mode::Eval`]. Returns `0.0` for an empty dataset.
+/// [`Mode::Eval`] through one scratch [`Workspace`] reused across batches.
+/// Returns `0.0` for an empty dataset.
 ///
 /// The `&mut` is forward-pass scratch only (dropout state, activations);
 /// parameters are untouched and eval timing is charged to the caller's
@@ -419,9 +405,10 @@ pub fn evaluate_accuracy(model: &mut Sequential, dataset: &Dataset, batch: usize
     if dataset.is_empty() {
         return 0.0;
     }
+    let mut ws = Workspace::new();
     let mut correct = 0usize;
     for b in dataset.batches(batch) {
-        let logits = model.forward(&b.images, Mode::Eval);
+        let logits = model.forward_ws(&b.images, Mode::Eval, &mut ws);
         let preds = argmax_rows(&logits);
         correct += preds.iter().zip(b.labels.iter()).filter(|(p, l)| p == l).count();
     }
@@ -489,8 +476,16 @@ mod tests {
     fn training_reduces_loss_and_changes_weights() {
         let fed = tiny_federation(1);
         let global = fed.init_global();
-        let out =
-            train_client(fed.spec(), &global, &fed.client_data(0), fed.config(), None, None, 7);
+        let out = train_client_ws(
+            fed.spec(),
+            &global,
+            &fed.client_data(0),
+            fed.config(),
+            None,
+            None,
+            7,
+            &mut Workspace::new(),
+        );
         assert_ne!(out.final_flat, global);
         assert_ne!(out.first_epoch_flat, out.final_flat);
         assert!(out.mean_train_loss.is_finite());
@@ -501,10 +496,13 @@ mod tests {
     fn training_is_deterministic_in_seed() {
         let fed = tiny_federation(1);
         let global = fed.init_global();
-        let a = train_client(fed.spec(), &global, &fed.client_data(1), fed.config(), None, None, 3);
-        let b = train_client(fed.spec(), &global, &fed.client_data(1), fed.config(), None, None, 3);
+        let train = |seed| {
+            let data = fed.client_data(1);
+            let ws = &mut Workspace::new();
+            train_client_ws(fed.spec(), &global, &data, fed.config(), None, None, seed, ws)
+        };
+        let (a, b, c) = (train(3), train(3), train(4));
         assert_eq!(a.final_flat, b.final_flat);
-        let c = train_client(fed.spec(), &global, &fed.client_data(1), fed.config(), None, None, 4);
         assert_ne!(a.final_flat, c.final_flat);
     }
 
@@ -519,7 +517,7 @@ mod tests {
         for i in 0..n / 2 {
             mask.tensors_mut()[0].data_mut()[i] = 0.0;
         }
-        let out = train_client(
+        let out = train_client_ws(
             fed.spec(),
             &global,
             &fed.client_data(0),
@@ -527,6 +525,7 @@ mod tests {
             Some(&mask),
             None,
             7,
+            &mut Workspace::new(),
         );
         let mut trained = fed.build_model();
         trained.load_flat(&out.final_flat);
@@ -573,6 +572,57 @@ mod tests {
             assert_eq!(a.first_epoch_flat, out.first_epoch_flat);
             assert_eq!(a.val_acc, out.val_acc);
             assert_eq!(a.mean_train_loss, out.mean_train_loss);
+        }
+    }
+
+    /// Logits through one workspace reused across batches and modes equal
+    /// logits through a fresh workspace per batch, bit for bit: dense, an
+    /// Un 70 % mask and a Hy channel mask, on both paper architectures.
+    #[test]
+    fn forward_through_a_reused_workspace_matches_fresh_workspaces() {
+        use subfed_nn::models::channel_graph;
+        use subfed_pruning::structured::{expand_channel_mask, slimming_mask};
+        use subfed_pruning::unstructured::magnitude_mask;
+        use subfed_pruning::{ChannelMask, PruneScope, Ranking};
+        use subfed_tensor::init::uniform;
+        use subfed_tensor::Tensor;
+        for spec in [ModelSpec::lenet5(3, 32, 32, 10), ModelSpec::cnn5(1, 28, 28, 10)] {
+            let mut rng = SeededRng::new(21);
+            let dense = spec.build(&mut rng);
+            let ones = ModelMask::ones_for(&dense);
+            let un = magnitude_mask(&dense, &ones, 0.7, PruneScope::AllWeights, Ranking::LayerWise);
+            let channels =
+                slimming_mask(&dense, &ChannelMask::ones_for(&channel_graph(&dense)), 0.5);
+            let hy = expand_channel_mask(&dense, &channels, &ones);
+            let [c, h, w] = spec.input_shape();
+            let plane = c * h * w;
+            // 37 samples in batches of 16: two full batches and a short tail.
+            let images = uniform(&[37, c, h, w], -1.0, 1.0, &mut rng);
+            let batches: Vec<Tensor> = [(0, 16), (16, 16), (32, 5)]
+                .iter()
+                .map(|&(at, n)| {
+                    let data = images.data()[at * plane..(at + n) * plane].to_vec();
+                    Tensor::from_parts(vec![n, c, h, w], data)
+                })
+                .collect();
+            for (label, mask) in [("dense", None), ("un70", Some(&un)), ("hy", Some(&hy))] {
+                let mut reused = dense.clone();
+                if let Some(m) = mask {
+                    m.apply(&mut reused);
+                    reused.install_sparsity(m);
+                }
+                let mut fresh = reused.clone();
+                let mut ws = Workspace::new();
+                for mode in [Mode::Eval, Mode::Train, Mode::Eval] {
+                    for (b, x) in batches.iter().enumerate() {
+                        let a = reused.forward_ws(x, mode, &mut ws);
+                        let f = fresh.forward_ws(x, mode, &mut Workspace::new());
+                        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+                        let (a, f): (Vec<u32>, Vec<u32>) = (bits(&a), bits(&f));
+                        assert_eq!(a, f, "{spec:?} {label} {mode:?} batch {b}");
+                    }
+                }
+            }
         }
     }
 

@@ -62,7 +62,7 @@ pub use aggregate::{
     fedavg_aggregate, flatten_mask, subfedavg_aggregate, subfedavg_aggregate_trimmed,
 };
 pub use config::FedConfig;
-pub use engine::{evaluate_accuracy, train_client, train_client_ws, Federation, LocalOutcome};
+pub use engine::{evaluate_accuracy, train_client_ws, Federation, LocalOutcome};
 pub use history::{History, RoundRecord};
 pub use registry::{ClientRegistry, RegistryError};
 pub use sampler::{CohortSampler, UniformSampler};

@@ -127,8 +127,9 @@ impl ScaledSubFedAvg {
     }
 
     /// Resumes from a cold-loaded registry (masks and participation
-    /// counters carry over; the global restarts from θ₀ unless the caller
-    /// also restores it via [`ScaledSubFedAvg::set_global`]).
+    /// counters carry over; the global and the round counter restart from
+    /// θ₀ and round 1 unless the caller also restores them via
+    /// [`ScaledSubFedAvg::restore`]).
     ///
     /// # Errors
     ///
@@ -182,14 +183,18 @@ impl ScaledSubFedAvg {
         }
     }
 
-    /// Overwrites the server's global parameters (cold-start restore).
+    /// Cold-start restore of a run saved after round `after_round`:
+    /// installs its `global` and makes the next
+    /// [`step_round`](Self::step_round) run round `after_round + 1`, so
+    /// cohort sampling and client seeds continue where the saved run
+    /// stopped. Byte accounting restarts at zero.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::ModelSizeMismatch`] when `global` does not have
-    /// the model's length; the current global is then left untouched.
+    /// the model's length; the driver is then left untouched.
     #[must_use = "a dropped Result hides a global that did not fit"]
-    pub fn set_global(&mut self, global: Vec<f32>) -> Result<(), CheckpointError> {
+    pub fn restore(&mut self, after_round: usize, global: Vec<f32>) -> Result<(), CheckpointError> {
         if global.len() != self.global.len() {
             return Err(CheckpointError::ModelSizeMismatch {
                 expected: self.global.len(),
@@ -197,6 +202,7 @@ impl ScaledSubFedAvg {
             });
         }
         self.global = global;
+        self.next_round = after_round + 1;
         Ok(())
     }
 
@@ -483,7 +489,7 @@ mod tests {
             restored,
         )
         .expect("the registry fits the federation");
-        resumed.set_global(driver.global().to_vec()).expect("the global fits the model");
+        resumed.restore(1, driver.global().to_vec()).expect("the global fits the model");
         assert_eq!(resumed.global(), driver.global());
         for id in 0..80 {
             assert_eq!(resumed.registry().kept(id), driver.registry().kept(id));
@@ -524,12 +530,44 @@ mod tests {
     }
 
     #[test]
-    fn set_global_rejects_a_length_mismatch_and_keeps_the_global() {
+    fn resumed_run_hashes_equal_a_straight_run() {
+        for threads in [1, 2] {
+            let mut straight = scaled_driver(80, 0.1, threads);
+            let straight_hashes: Vec<u64> = (0..3)
+                .map(|_| {
+                    straight.step_round();
+                    trace::model_hash(straight.global())
+                })
+                .collect();
+
+            let mut first = scaled_driver(80, 0.1, threads);
+            first.step_round();
+            let registry = ClientRegistry::load(&first.registry().save()).expect("reload");
+            let mut resumed = ScaledSubFedAvg::with_registry(
+                scaled_driver(80, 0.1, threads).fed,
+                UnstructuredController::paper_defaults(0.5),
+                registry,
+            )
+            .expect("the registry fits the federation");
+            resumed.restore(1, first.global().to_vec()).expect("the global fits the model");
+            let mut hashes = vec![trace::model_hash(first.global())];
+            for _ in 0..2 {
+                resumed.step_round();
+                hashes.push(trace::model_hash(resumed.global()));
+            }
+            assert_eq!(hashes, straight_hashes, "{threads} worker(s)");
+            let rounds: Vec<usize> = resumed.records().iter().map(|r| r.round).collect();
+            assert_eq!(rounds, [2, 3], "{threads} worker(s)");
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_length_mismatch_and_keeps_the_driver() {
         let mut driver = scaled_driver(80, 0.1, 1);
         let before = driver.global().to_vec();
         let n = before.len();
         for len in [n - 1, n + 1] {
-            match driver.set_global(vec![0.5; len]) {
+            match driver.restore(5, vec![0.5; len]) {
                 Err(CheckpointError::ModelSizeMismatch { expected, got }) => {
                     assert_eq!((expected, got), (n, len))
                 }
@@ -537,5 +575,7 @@ mod tests {
             }
             assert_eq!(driver.global(), before.as_slice(), "a rejected global must not land");
         }
+        driver.step_round();
+        assert_eq!(driver.records()[0].round, 1, "a rejected restore must not move the round");
     }
 }

@@ -38,7 +38,7 @@ use crate::parser::{call_sites, parse_file, FnDef};
 use crate::rules::test_module_ranges;
 
 /// Built-in hot entry points: per-batch code by construction.
-pub const HOT_ENTRIES: [&str; 14] = [
+pub const HOT_ENTRIES: [&str; 13] = [
     "forward_ws",
     "backward_ws",
     "backward_params_ws",
@@ -48,7 +48,6 @@ pub const HOT_ENTRIES: [&str; 14] = [
     "gemm_tn",
     "gemm_tn_ws",
     "gemm_nt",
-    "gemm_mt",
     "spmm",
     "spmm_t",
     "masked_dot_nt",

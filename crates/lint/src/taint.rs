@@ -610,11 +610,11 @@ mod tests {
 
     #[test]
     fn disjoint_stripe_parallel_gemm_shape_is_exempt() {
-        // Regression fixture for the striped multithreaded GEMM
-        // (`tensor::parallel::gemm_mt`): the pool lock is taken only in
-        // checkout/restore helpers that never reach a float fold, workers
-        // write disjoint output stripes through an accumulating microkernel,
-        // and the spawner itself holds no lock lexically. No single function
+        // Fixture: a column-striped multithreaded GEMM. The pool lock is
+        // taken only in checkout/restore helpers that never reach a float
+        // fold, workers write disjoint output stripes through an
+        // accumulating microkernel, and the spawner itself holds no lock
+        // lexically. No single function
         // both acquires and reaches the `+=`, so the arrival-order rule must
         // stay quiet even though the fold is spawn-reachable.
         let src = "fn checkout(count: usize) -> Vec<Ws> { let mut held = lock_pool(&POOL); \

@@ -2,7 +2,7 @@
 //! Finite-difference gradient checking, used by every layer's test module.
 //!
 //! The scalar objective is `L(x) = ½‖f(x)‖²` so that `dL/dy = y`, which lets
-//! the checker drive `backward` without a loss layer. Both the input
+//! the checker drive `backward_ws` without a loss layer. Both the input
 //! gradient and every parameter gradient are compared against central
 //! differences.
 
@@ -12,8 +12,8 @@ use subfed_tensor::init::{uniform, SeededRng};
 use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
-fn objective(layer: &mut Box<dyn Layer>, x: &Tensor) -> f32 {
-    let y = layer.forward(x, Mode::Train);
+fn objective(layer: &mut Box<dyn Layer>, x: &Tensor, ws: &mut Workspace) -> f32 {
+    let y = layer.forward_ws(x, Mode::Train, ws);
     0.5 * y.sq_norm()
 }
 
@@ -37,8 +37,9 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input_shape: &[usize], eps: f32, t
     let x = uniform(input_shape, -1.0, 1.0, &mut rng);
 
     // Analytic pass.
-    let y = layer.forward(&x, Mode::Train);
-    let dx = layer.backward(&y.clone());
+    let mut ws = Workspace::new();
+    let y = layer.forward_ws(&x, Mode::Train, &mut ws);
+    let dx = layer.backward_ws(&y, &mut ws);
     let param_grads: Vec<Tensor> = layer.params().iter().map(|p| p.grad.clone()).collect();
 
     // Numeric input gradient (sample at most ~200 coordinates).
@@ -46,10 +47,10 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input_shape: &[usize], eps: f32, t
     for idx in (0..x.len()).step_by(stride) {
         let mut xp = x.clone();
         xp.data_mut()[idx] += eps;
-        let lp = objective(&mut layer, &xp);
+        let lp = objective(&mut layer, &xp, &mut ws);
         let mut xm = x.clone();
         xm.data_mut()[idx] -= eps;
-        let lm = objective(&mut layer, &xm);
+        let lm = objective(&mut layer, &xm, &mut ws);
         let numeric = (lp - lm) / (2.0 * eps);
         check_close(dx.data()[idx], numeric, tol, &format!("input grad [{idx}]"));
     }
@@ -62,9 +63,9 @@ pub fn check_layer(mut layer: Box<dyn Layer>, input_shape: &[usize], eps: f32, t
         for idx in (0..plen).step_by(pstride) {
             let orig = layer.params()[pi].value.data()[idx];
             layer.params_mut()[pi].value.data_mut()[idx] = orig + eps;
-            let lp = objective(&mut layer, &x);
+            let lp = objective(&mut layer, &x, &mut ws);
             layer.params_mut()[pi].value.data_mut()[idx] = orig - eps;
-            let lm = objective(&mut layer, &x);
+            let lm = objective(&mut layer, &x, &mut ws);
             layer.params_mut()[pi].value.data_mut()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             check_close(

@@ -16,11 +16,17 @@ pub enum Mode {
 ///
 /// Conventions:
 ///
-/// * `forward` caches whatever the subsequent `backward` needs; calling
-///   `backward` without a preceding `forward` in [`Mode::Train`] panics.
-/// * `backward` consumes the cached activations, **overwrites** each
+/// * Every pass takes the caller's scratch [`Workspace`]. Compute-heavy
+///   layers (`Conv2d`, `Linear`) draw their temporaries from it instead of
+///   allocating; the others ignore it. Results never depend on the
+///   workspace's history: `Workspace::take` zero-fills, and every
+///   `take_scratch` buffer is fully written before it is read.
+/// * `forward_ws` caches whatever the subsequent `backward_ws` needs;
+///   calling `backward_ws` without a preceding `forward_ws` in
+///   [`Mode::Train`] panics.
+/// * `backward_ws` consumes the cached activations, **overwrites** each
 ///   parameter's `grad` with this batch's gradient, and returns the gradient
-///   with respect to the layer input. One `forward`/`backward` pair per
+///   with respect to the layer input. One forward/backward pair per
 ///   optimizer step — gradients are not accumulated across calls.
 /// * [`Layer::backward_params_ws`] is the same step without the input
 ///   gradient. [`Sequential::backward_ws`](crate::Sequential::backward_ws)
@@ -32,37 +38,17 @@ pub trait Layer: Send {
     /// Human-readable layer name (used in parameter names and debugging).
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output for `input`.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    /// Computes the layer output for `input`, drawing scratch buffers
+    /// from `ws`.
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor;
 
     /// Backpropagates `grad_out` (gradient w.r.t. the layer output),
     /// returning the gradient w.r.t. the layer input.
     ///
     /// # Panics
     ///
-    /// Panics if called without a preceding training-mode `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] with an explicit scratch [`Workspace`].
-    ///
-    /// Compute-heavy layers override this to draw their temporaries from
-    /// `ws` instead of allocating; the default simply ignores the
-    /// workspace, so activation/pooling layers need no changes. Numeric
-    /// results are identical either way (`Workspace::take` returns
-    /// zero-filled buffers).
-    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
-        self.forward(input, mode)
-    }
-
-    /// [`Layer::backward`] with an explicit scratch [`Workspace`]; see
-    /// [`Layer::forward_ws`].
-    ///
-    /// # Panics
-    ///
     /// Panics if called without a preceding training-mode forward.
-    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
-        self.backward(grad_out)
-    }
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor;
 
     /// [`Layer::backward_ws`] without the input gradient: consumes the
     /// forward cache and overwrites every parameter's `grad` exactly as
@@ -115,9 +101,9 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
-/// Takes a layer's forward-pass cache for use in `backward`.
+/// Takes a layer's forward-pass cache for use in `backward_ws`.
 ///
-/// Calling `backward` without a preceding training-mode `forward` violates
+/// Calling `backward_ws` without a preceding training-mode forward violates
 /// the [`Layer`] contract; that is a driver bug, so this panics with the
 /// uniform message `"<layer> backward without forward"` that the layer test
 /// suites assert on.

@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Rectified linear unit, applied elementwise.
@@ -20,10 +21,10 @@ impl Layer for ReLU {
         "relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(|v| v.max(0.0));
         if mode == Mode::Train {
-            // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
+            // lint: allow(hot-path-alloc) — backward cache snapshot, an owned Tensor by API contract
             self.cache = Some(input.clone());
         } else {
             self.cache = None;
@@ -31,7 +32,7 @@ impl Layer for ReLU {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = take_cache(&mut self.cache, "relu");
         grad_out.zip_map(&x, |g, v| if v > 0.0 { g } else { 0.0 }, "relu backward")
     }
@@ -65,11 +66,11 @@ impl Layer for LeakyReLU {
         "leaky_relu"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let s = self.slope;
         let out = input.map(|v| if v > 0.0 { v } else { s * v });
         if mode == Mode::Train {
-            // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
+            // lint: allow(hot-path-alloc) — backward cache snapshot, an owned Tensor by API contract
             self.cache = Some(input.clone());
         } else {
             self.cache = None;
@@ -77,7 +78,7 @@ impl Layer for LeakyReLU {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let x = take_cache(&mut self.cache, "leaky_relu");
         let s = self.slope;
         grad_out.zip_map(&x, |g, v| if v > 0.0 { g } else { s * g }, "leaky_relu backward")
@@ -107,11 +108,11 @@ impl Layer for Tanh {
         "tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(f32::tanh);
         if mode == Mode::Train {
             // Cache the *output*: tanh' = 1 - tanh².
-            // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
+            // lint: allow(hot-path-alloc) — backward cache snapshot, an owned Tensor by API contract
             self.cache = Some(out.clone());
         } else {
             self.cache = None;
@@ -119,7 +120,7 @@ impl Layer for Tanh {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = take_cache(&mut self.cache, "tanh");
         grad_out.zip_map(&y, |g, t| g * (1.0 - t * t), "tanh backward")
     }
@@ -147,10 +148,10 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         let out = input.map(|v| 1.0 / (1.0 + (-v).exp()));
         if mode == Mode::Train {
-            // lint: allow(hot-path-alloc) — backward cache snapshot; the value-path API owns its tensors
+            // lint: allow(hot-path-alloc) — backward cache snapshot, an owned Tensor by API contract
             self.cache = Some(out.clone());
         } else {
             self.cache = None;
@@ -158,7 +159,7 @@ impl Layer for Sigmoid {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let y = take_cache(&mut self.cache, "sigmoid");
         grad_out.zip_map(&y, |g, s| g * s * (1.0 - s), "sigmoid backward")
     }
@@ -174,19 +175,21 @@ mod tests {
 
     #[test]
     fn forward_clamps_negatives() {
+        let mut ws = Workspace::new();
         let mut relu = ReLU::new();
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        let y = relu.forward(&x, Mode::Eval);
+        let y = relu.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn backward_gates_gradient() {
+        let mut ws = Workspace::new();
         let mut relu = ReLU::new();
         let x = Tensor::from_slice(&[-1.0, 0.5, 2.0]);
-        let _ = relu.forward(&x, Mode::Train);
+        let _ = relu.forward_ws(&x, Mode::Train, &mut ws);
         let dy = Tensor::from_slice(&[10.0, 20.0, 30.0]);
-        let dx = relu.backward(&dy);
+        let dx = relu.backward_ws(&dy, &mut ws);
         assert_eq!(dx.data(), &[0.0, 20.0, 30.0]);
     }
 
@@ -199,18 +202,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
+        let mut ws = Workspace::new();
         let mut relu = ReLU::new();
-        let _ = relu.backward(&Tensor::zeros(&[2]));
+        let _ = relu.backward_ws(&Tensor::zeros(&[2]), &mut ws);
     }
 
     #[test]
     fn leaky_relu_forward_and_backward() {
+        let mut ws = Workspace::new();
         let mut l = LeakyReLU::new(0.1);
         let x = Tensor::from_slice(&[-2.0, 0.0, 3.0]);
-        let y = l.forward(&x, Mode::Train);
+        let y = l.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(y.data(), &[-0.2, 0.0, 3.0], 1e-6, 0.0);
         let dy = Tensor::from_slice(&[10.0, 10.0, 10.0]);
-        let dx = l.backward(&dy);
+        let dx = l.backward_ws(&dy, &mut ws);
         subfed_tensor::assert_slice_close(dx.data(), &[1.0, 1.0, 10.0], 1e-6, 0.0);
     }
 
@@ -221,9 +226,10 @@ mod tests {
 
     #[test]
     fn tanh_matches_std_and_gradchecks() {
+        let mut ws = Workspace::new();
         let mut t = Tanh::new();
         let x = Tensor::from_slice(&[-1.0, 0.0, 0.5]);
-        let y = t.forward(&x, Mode::Eval);
+        let y = t.forward_ws(&x, Mode::Eval, &mut ws);
         subfed_tensor::assert_slice_close(
             y.data(),
             &[(-1.0f32).tanh(), 0.0, 0.5f32.tanh()],
@@ -235,9 +241,10 @@ mod tests {
 
     #[test]
     fn sigmoid_range_and_gradcheck() {
+        let mut ws = Workspace::new();
         let mut s = Sigmoid::new();
         let x = Tensor::from_slice(&[-100.0, 0.0, 100.0]);
-        let y = s.forward(&x, Mode::Eval);
+        let y = s.forward_ws(&x, Mode::Eval, &mut ws);
         assert!(y.data()[0] < 1e-6);
         assert!((y.data()[1] - 0.5).abs() < 1e-6);
         assert!(y.data()[2] > 1.0 - 1e-6);

@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode, Param, ParamKind};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Batch normalisation over the channel dimension of NCHW tensors.
@@ -62,18 +63,18 @@ impl Layer for BatchNorm2d {
 
     // Channel-strided NCHW access reads clearest with explicit indices.
     #[allow(clippy::needless_range_loop)]
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "batchnorm2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         assert_eq!(c, self.channels, "batchnorm2d: expected {} channels, got {c}", self.channels);
         let plane = h * w;
         let m = (n * plane) as f32;
-        // lint: allow(hot-path-alloc) — output/cache buffers are owned by the value-path contract
+        // lint: allow(hot-path-alloc) — output/cache buffers are owned Tensors by API contract
         let mut out = vec![0.0f32; input.len()];
         match mode {
             Mode::Train => {
                 assert!(n * plane > 1, "batchnorm needs more than one value per channel");
-                // lint: allow(hot-path-alloc) — output/cache buffers are owned by the value-path contract
+                // lint: allow(hot-path-alloc) — output/cache buffers are owned Tensors by API contract
                 let mut xhat = vec![0.0f32; input.len()];
                 // lint: allow(hot-path-alloc) — per-channel stats Vec is c entries, not tensor-sized
                 let mut inv_std = vec![0.0f32; c];
@@ -158,7 +159,7 @@ impl Layer for BatchNorm2d {
         Tensor::from_parts(input.shape().to_vec(), out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let cache = take_cache(&mut self.cache, "batchnorm2d");
         assert_eq!(grad_out.shape(), &cache.shape[..], "batchnorm2d backward shape mismatch");
         let (n, c, h, w) = (cache.shape[0], cache.shape[1], cache.shape[2], cache.shape[3]);
@@ -226,10 +227,11 @@ mod tests {
 
     #[test]
     fn train_output_is_normalised() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(1);
         let mut bn = BatchNorm2d::new(3);
         let x = uniform(&[4, 3, 5, 5], -2.0, 5.0, &mut rng);
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward_ws(&x, Mode::Train, &mut ws);
         // With gamma=1, beta=0 each channel of y has mean~0, var~1.
         let plane = 25;
         for ch in 0..3 {
@@ -248,25 +250,27 @@ mod tests {
 
     #[test]
     fn gamma_beta_scale_and_shift() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(2);
         let mut bn = BatchNorm2d::new(1);
         bn.gamma.value.data_mut()[0] = 2.0;
         bn.beta.value.data_mut()[0] = -1.0;
         let x = uniform(&[2, 1, 4, 4], -1.0, 1.0, &mut rng);
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward_ws(&x, Mode::Train, &mut ws);
         let mean = y.mean();
         assert!((mean - -1.0).abs() < 1e-4, "mean should equal beta, got {mean}");
     }
 
     #[test]
     fn running_stats_track_batch_stats() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(3);
         let mut bn = BatchNorm2d::new(2);
         // Constant-ish input distribution; after many batches running mean
         // approaches the true mean (3.0) and var the true variance.
         for _ in 0..200 {
             let x = uniform(&[8, 2, 3, 3], 2.0, 4.0, &mut rng);
-            let _ = bn.forward(&x, Mode::Train);
+            let _ = bn.forward_ws(&x, Mode::Train, &mut ws);
         }
         for ch in 0..2 {
             let rm = bn.running_mean.value.data()[ch];
@@ -279,11 +283,12 @@ mod tests {
 
     #[test]
     fn eval_uses_running_stats() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(1);
         bn.running_mean.value.data_mut()[0] = 5.0;
         bn.running_var.value.data_mut()[0] = 4.0;
         let x = Tensor::full(&[1, 1, 2, 2], 7.0);
-        let y = bn.forward(&x, Mode::Eval);
+        let y = bn.forward_ws(&x, Mode::Eval, &mut ws);
         // (7-5)/sqrt(4+eps) ≈ 1.0
         for &v in y.data() {
             assert!((v - 1.0).abs() < 1e-3, "{v}");
@@ -325,7 +330,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(1);
-        let _ = bn.backward(&Tensor::zeros(&[1, 1, 2, 2]));
+        let _ = bn.backward_ws(&Tensor::zeros(&[1, 1, 2, 2]), &mut ws);
     }
 }

@@ -188,16 +188,6 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "conv2d expects NCHW input, got {:?}", input.shape());
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
@@ -379,10 +369,11 @@ mod tests {
 
     #[test]
     fn forward_matches_direct_convolution() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(1);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let x = uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let y = conv.forward(&x, Mode::Eval);
+        let y = conv.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.shape(), &[2, 3, 6, 6]);
         let geom = conv.geom_for(6, 6);
         for i in 0..2 {
@@ -407,17 +398,18 @@ mod tests {
 
     #[test]
     fn unpadded_eval_takes_tap_path_and_matches_im2col() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(31);
         // LeNet conv1 shape: pad 0, stride 1 → eval runs the tap kernel;
         // train runs im2col+GEMM. The two summation orders must agree to
         // float tolerance, dense and unstructured-sparse alike.
         let mut conv = Conv2d::new(3, 6, 5, 1, 0, &mut rng);
         let x = uniform(&[2, 3, 32, 32], -1.0, 1.0, &mut rng);
-        let ye = conv.forward(&x, Mode::Eval);
-        let yt = conv.forward(&x, Mode::Train);
+        let ye = conv.forward_ws(&x, Mode::Eval, &mut ws);
+        let yt = conv.forward_ws(&x, Mode::Train, &mut ws);
         assert_eq!(ye.shape(), &[2, 6, 28, 28]);
         subfed_tensor::assert_slice_close(ye.data(), yt.data(), 1e-4, 1e-4);
-        let _ = conv.backward(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng));
+        let _ = conv.backward_ws(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng), &mut ws);
 
         let mut bits = vec![0.0f32; 6 * 3 * 5 * 5];
         for (t, bit) in bits.iter_mut().enumerate() {
@@ -432,10 +424,10 @@ mod tests {
         let ones = Tensor::full(&[6], 1.0);
         conv.install_sparsity(&[&bits_t, &ones]);
         assert!(conv.has_sparse_path() && !conv.has_rect_path());
-        let ys = conv.forward(&x, Mode::Eval);
-        let yst = conv.forward(&x, Mode::Train);
+        let ys = conv.forward_ws(&x, Mode::Eval, &mut ws);
+        let yst = conv.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(ys.data(), yst.data(), 1e-4, 1e-4);
-        let _ = conv.backward(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng));
+        let _ = conv.backward_ws(&uniform(&[2, 6, 28, 28], -1.0, 1.0, &mut rng), &mut ws);
     }
 
     #[test]
@@ -447,6 +439,7 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_forward_and_backward() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(7);
         let mut dense = Conv2d::new(2, 4, 3, 1, 1, &mut rng);
         // Prune ~half the weights (and keep weights and mask consistent).
@@ -466,13 +459,13 @@ mod tests {
         assert!(sparse.has_sparse_path());
 
         let x = uniform(&[3, 2, 6, 6], -1.0, 1.0, &mut rng);
-        let yd = dense.forward(&x, Mode::Train);
-        let ys = sparse.forward(&x, Mode::Train);
+        let yd = dense.forward_ws(&x, Mode::Train, &mut ws);
+        let ys = sparse.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-5, 1e-5);
 
         let dy = uniform(&[3, 4, 6, 6], -1.0, 1.0, &mut rng);
-        let dxd = dense.backward(&dy);
-        let dxs = sparse.backward(&dy);
+        let dxd = dense.backward_ws(&dy, &mut ws);
+        let dxs = sparse.backward_ws(&dy, &mut ws);
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-4, 1e-4);
         subfed_tensor::assert_slice_close(
             dense.bias.grad.data(),
@@ -542,6 +535,7 @@ mod tests {
 
     #[test]
     fn structured_mask_takes_rect_path_and_matches_dense_eval() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(21);
         let mut dense = Conv2d::new(4, 6, 3, 1, 1, &mut rng);
         // Structured mask: drop output channels 1 and 4 entirely, and
@@ -567,8 +561,8 @@ mod tests {
         assert!(rect.has_sparse_path() && rect.has_rect_path());
 
         let x = uniform(&[3, 4, 6, 6], -1.0, 1.0, &mut rng);
-        let yd = dense.forward(&x, Mode::Eval);
-        let yr = rect.forward(&x, Mode::Eval);
+        let yd = dense.forward_ws(&x, Mode::Eval, &mut ws);
+        let yr = rect.forward_ws(&x, Mode::Eval, &mut ws);
         subfed_tensor::assert_slice_close(yr.data(), yd.data(), 1e-5, 1e-5);
         // Pruned output channels are exact bias planes (zero here).
         for i in 0..3 {
@@ -578,9 +572,9 @@ mod tests {
             }
         }
         // Train mode stays on the general sparse path and still agrees.
-        let yt = rect.forward(&x, Mode::Train);
+        let yt = rect.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(yt.data(), yd.data(), 1e-5, 1e-5);
-        let _ = rect.backward(&uniform(&[3, 6, 6, 6], -1.0, 1.0, &mut rng));
+        let _ = rect.backward_ws(&uniform(&[3, 6, 6, 6], -1.0, 1.0, &mut rng), &mut ws);
     }
 
     #[test]
@@ -625,24 +619,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(4);
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
-        let _ = conv.backward(&Tensor::zeros(&[1, 1, 3, 3]));
+        let _ = conv.backward_ws(&Tensor::zeros(&[1, 1, 3, 3]), &mut ws);
     }
 
     #[test]
     #[should_panic(expected = "input channels")]
     fn wrong_channel_count_panics() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(5);
         let mut conv = Conv2d::new(3, 1, 3, 1, 0, &mut rng);
-        let _ = conv.forward(&Tensor::zeros(&[1, 2, 5, 5]), Mode::Eval);
+        let _ = conv.forward_ws(&Tensor::zeros(&[1, 2, 5, 5]), Mode::Eval, &mut ws);
     }
 
     #[test]
     fn eval_mode_does_not_cache() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(6);
         let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng);
-        let _ = conv.forward(&Tensor::zeros(&[1, 1, 5, 5]), Mode::Eval);
+        let _ = conv.forward_ws(&Tensor::zeros(&[1, 1, 5, 5]), Mode::Eval, &mut ws);
         assert!(conv.cache.is_none());
     }
 }

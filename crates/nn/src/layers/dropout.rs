@@ -1,6 +1,7 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
 use subfed_tensor::init::SeededRng;
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Inverted dropout: zeroes activations with probability `p` during
@@ -40,7 +41,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         match mode {
             Mode::Eval => {
                 self.mask = None;
@@ -68,7 +69,7 @@ impl Layer for Dropout {
         }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let mask = take_cache(&mut self.mask, "dropout");
         grad_out.mul(&mask)
     }
@@ -84,17 +85,19 @@ mod tests {
 
     #[test]
     fn eval_is_identity() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.5, 1);
         let x = Tensor::from_slice(&[1.0, 2.0, 3.0]);
-        let y = d.forward(&x, Mode::Eval);
+        let y = d.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn train_zeroes_roughly_p_fraction_and_scales_rest() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.3, 2);
         let x = Tensor::ones(&[10_000]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_ws(&x, Mode::Train, &mut ws);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         let frac = zeros as f32 / 10_000.0;
         assert!((frac - 0.3).abs() < 0.03, "dropped fraction {frac}");
@@ -106,11 +109,12 @@ mod tests {
 
     #[test]
     fn backward_uses_same_mask() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[100]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_ws(&x, Mode::Train, &mut ws);
         let dy = Tensor::ones(&[100]);
-        let dx = d.backward(&dy);
+        let dx = d.backward_ws(&dy, &mut ws);
         // Gradient is zero exactly where the activation was dropped.
         for (g, v) in dx.data().iter().zip(y.data()) {
             assert_eq!(*g == 0.0, *v == 0.0);
@@ -119,9 +123,10 @@ mod tests {
 
     #[test]
     fn p_zero_is_identity_in_train() {
+        let mut ws = Workspace::new();
         let mut d = Dropout::new(0.0, 4);
         let x = Tensor::from_slice(&[1.0, -2.0]);
-        let y = d.forward(&x, Mode::Train);
+        let y = d.forward_ws(&x, Mode::Train, &mut ws);
         assert_eq!(y.data(), x.data());
     }
 

@@ -77,16 +77,6 @@ impl Layer for Linear {
         "linear"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, mode, &mut ws)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
     fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         self.check_input(input);
         let n = input.shape()[0];
@@ -241,13 +231,14 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(1);
         let mut lin = Linear::new(2, 3, &mut rng);
         lin.weight.value =
             Tensor::from_vec(vec![3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]).unwrap();
         lin.bias.value = Tensor::from_vec(vec![3], vec![0.5, -0.5, 0.0]).unwrap();
         let x = Tensor::from_vec(vec![1, 2], vec![2.0, 3.0]).unwrap();
-        let y = lin.forward(&x, Mode::Eval);
+        let y = lin.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
@@ -260,17 +251,19 @@ mod tests {
 
     #[test]
     fn bias_gradient_is_row_sum() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(3);
         let mut lin = Linear::new(2, 2, &mut rng);
         let x = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let _ = lin.forward(&x, Mode::Train);
+        let _ = lin.forward_ws(&x, Mode::Train, &mut ws);
         let dy = Tensor::from_vec(vec![2, 2], vec![1.0, 10.0, 2.0, 20.0]).unwrap();
-        let _ = lin.backward(&dy);
+        let _ = lin.backward_ws(&dy, &mut ws);
         assert_eq!(lin.bias.grad.data(), &[3.0, 30.0]);
     }
 
     #[test]
     fn sparse_path_matches_dense_forward_and_backward() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(11);
         let mut dense = Linear::new(6, 4, &mut rng);
         let mut bits = vec![0.0f32; 24];
@@ -289,13 +282,13 @@ mod tests {
         assert!(sparse.has_sparse_path());
 
         let x = subfed_tensor::init::uniform(&[5, 6], -1.0, 1.0, &mut rng);
-        let yd = dense.forward(&x, Mode::Train);
-        let ys = sparse.forward(&x, Mode::Train);
+        let yd = dense.forward_ws(&x, Mode::Train, &mut ws);
+        let ys = sparse.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-5, 1e-5);
 
         let dy = subfed_tensor::init::uniform(&[5, 4], -1.0, 1.0, &mut rng);
-        let dxd = dense.backward(&dy);
-        let dxs = sparse.backward(&dy);
+        let dxd = dense.backward_ws(&dy, &mut ws);
+        let dxs = sparse.backward_ws(&dy, &mut ws);
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-5, 1e-5);
         assert_eq!(dense.bias.grad.data(), sparse.bias.grad.data());
         for ((&gd, &gs), &bit) in
@@ -311,6 +304,7 @@ mod tests {
 
     #[test]
     fn batch_of_one_sparse_path() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(12);
         let mut lin = Linear::new(3, 2, &mut rng);
         let bits_t = Tensor::from_vec(vec![2, 3], vec![1.0, 0.0, 1.0, 0.0, 0.0, 0.0]).unwrap();
@@ -321,28 +315,30 @@ mod tests {
         let ones = Tensor::full(&[2], 1.0);
         lin.install_sparsity(&[&bits_t, &ones]);
         let x = Tensor::from_vec(vec![1, 3], vec![1.0, 2.0, 3.0]).unwrap();
-        let ys = lin.forward(&x, Mode::Train);
-        let yd = dense.forward(&x, Mode::Train);
+        let ys = lin.forward_ws(&x, Mode::Train, &mut ws);
+        let yd = dense.forward_ws(&x, Mode::Train, &mut ws);
         subfed_tensor::assert_slice_close(ys.data(), yd.data(), 1e-6, 1e-6);
         let dy = Tensor::from_vec(vec![1, 2], vec![1.0, -1.0]).unwrap();
-        let dxs = lin.backward(&dy);
-        let dxd = dense.backward(&dy);
+        let dxs = lin.backward_ws(&dy, &mut ws);
+        let dxd = dense.backward_ws(&dy, &mut ws);
         subfed_tensor::assert_slice_close(dxs.data(), dxd.data(), 1e-6, 1e-6);
     }
 
     #[test]
     #[should_panic(expected = "backward without forward")]
     fn backward_without_forward_panics() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(4);
         let mut lin = Linear::new(2, 2, &mut rng);
-        let _ = lin.backward(&Tensor::zeros(&[1, 2]));
+        let _ = lin.backward_ws(&Tensor::zeros(&[1, 2]), &mut ws);
     }
 
     #[test]
     #[should_panic(expected = "input features")]
     fn wrong_feature_count_panics() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(5);
         let mut lin = Linear::new(3, 2, &mut rng);
-        let _ = lin.forward(&Tensor::zeros(&[1, 4]), Mode::Eval);
+        let _ = lin.forward_ws(&Tensor::zeros(&[1, 4]), Mode::Eval, &mut ws);
     }
 }

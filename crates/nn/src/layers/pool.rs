@@ -1,5 +1,6 @@
 use crate::layer::take_cache;
 use crate::{Layer, Mode};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 /// Max pooling over NCHW tensors with a square window.
@@ -44,7 +45,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "maxpool2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -144,7 +145,7 @@ impl Layer for MaxPool2d {
         Tensor::from_parts(out_shape, out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let cache = take_cache(&mut self.cache, "maxpool2d");
         assert_eq!(grad_out.shape(), &cache.out_shape[..], "maxpool2d backward shape mismatch");
         // lint: allow(hot-path-alloc) — dx is returned as an owned Tensor by API contract
@@ -191,7 +192,7 @@ impl Layer for AvgPool2d {
         "avgpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, _ws: &mut Workspace) -> Tensor {
         assert_eq!(input.ndim(), 4, "avgpool2d expects NCHW input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -227,7 +228,7 @@ impl Layer for AvgPool2d {
         Tensor::from_parts(vec![n, c, oh, ow], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, grad_out: &Tensor, _ws: &mut Workspace) -> Tensor {
         let shape = take_cache(&mut self.in_shape, "avgpool2d");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let (oh, ow) = (self.out_side(h), self.out_side(w));
@@ -267,6 +268,7 @@ mod tests {
 
     #[test]
     fn forward_known_values() {
+        let mut ws = Workspace::new();
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(
             vec![1, 1, 4, 4],
@@ -278,18 +280,19 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = pool.forward(&x, Mode::Eval);
+        let y = pool.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
     }
 
     #[test]
     fn backward_routes_gradient_to_argmax() {
+        let mut ws = Workspace::new();
         let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 4.0, 2.0, 3.0]).unwrap();
-        let _ = pool.forward(&x, Mode::Train);
+        let _ = pool.forward_ws(&x, Mode::Train, &mut ws);
         let dy = Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]).unwrap();
-        let dx = pool.backward(&dy);
+        let dx = pool.backward_ws(&dy, &mut ws);
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -300,19 +303,21 @@ mod tests {
 
     #[test]
     fn multi_channel_pooling_is_independent() {
+        let mut ws = Workspace::new();
         let mut pool = MaxPool2d::new(2, 2);
         let x =
             Tensor::from_vec(vec![1, 2, 2, 2], vec![1.0, 2.0, 3.0, 4.0, 40.0, 30.0, 20.0, 10.0])
                 .unwrap();
-        let y = pool.forward(&x, Mode::Eval);
+        let y = pool.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.data(), &[4.0, 40.0]);
     }
 
     #[test]
     #[should_panic(expected = "smaller than window")]
     fn input_smaller_than_window_panics() {
+        let mut ws = Workspace::new();
         let mut pool = MaxPool2d::new(3, 3);
-        let _ = pool.forward(&Tensor::zeros(&[1, 1, 2, 2]), Mode::Eval);
+        let _ = pool.forward_ws(&Tensor::zeros(&[1, 1, 2, 2]), Mode::Eval, &mut ws);
     }
 
     #[test]
@@ -323,20 +328,22 @@ mod tests {
 
     #[test]
     fn avgpool_forward_known_values() {
+        let mut ws = Workspace::new();
         let mut pool = AvgPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1, 1, 4, 4], (1..=16).map(|v| v as f32).collect()).unwrap();
-        let y = pool.forward(&x, Mode::Eval);
+        let y = pool.forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(y.shape(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
     #[test]
     fn avgpool_backward_spreads_gradient() {
+        let mut ws = Workspace::new();
         let mut pool = AvgPool2d::new(2, 2);
         let x = Tensor::ones(&[1, 1, 2, 2]);
-        let _ = pool.forward(&x, Mode::Train);
+        let _ = pool.forward_ws(&x, Mode::Train, &mut ws);
         let dy = Tensor::from_vec(vec![1, 1, 1, 1], vec![8.0]).unwrap();
-        let dx = pool.backward(&dy);
+        let dx = pool.backward_ws(&dy, &mut ws);
         assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -347,9 +354,10 @@ mod tests {
 
     #[test]
     fn avg_and_max_pool_agree_on_constant_input() {
+        let mut ws = Workspace::new();
         let x = Tensor::full(&[1, 1, 4, 4], 2.5);
-        let a = AvgPool2d::new(2, 2).forward(&x, Mode::Eval);
-        let m = MaxPool2d::new(2, 2).forward(&x, Mode::Eval);
+        let a = AvgPool2d::new(2, 2).forward_ws(&x, Mode::Eval, &mut ws);
+        let m = MaxPool2d::new(2, 2).forward_ws(&x, Mode::Eval, &mut ws);
         assert_eq!(a.data(), m.data());
     }
 }

@@ -3,7 +3,8 @@
 //! A layer-wise neural-network substrate built on [`subfed_tensor`],
 //! providing everything the Sub-FedAvg reproduction trains:
 //!
-//! * the [`Layer`] trait with explicit `forward`/`backward` passes,
+//! * the [`Layer`] trait with explicit `forward_ws`/`backward_ws` passes
+//!   that draw their scratch buffers from a caller-owned `Workspace`,
 //! * the paper's layers: [`layers::Conv2d`], [`layers::BatchNorm2d`],
 //!   [`layers::ReLU`], [`layers::MaxPool2d`], [`layers::Flatten`],
 //!   [`layers::Linear`], [`layers::Dropout`],
@@ -23,12 +24,12 @@
 //! ```
 //! use subfed_nn::models::ModelSpec;
 //! use subfed_nn::{loss, Mode};
-//! use subfed_tensor::{init::SeededRng, Tensor};
+//! use subfed_tensor::{init::SeededRng, workspace::Workspace, Tensor};
 //!
 //! let spec = ModelSpec::cnn5(1, 16, 16, 4);
 //! let mut model = spec.build(&mut SeededRng::new(0));
 //! let x = Tensor::zeros(&[2, 1, 16, 16]);
-//! let logits = model.forward(&x, Mode::Eval);
+//! let logits = model.forward_ws(&x, Mode::Eval, &mut Workspace::new());
 //! assert_eq!(logits.shape(), &[2, 4]);
 //! let (l, _grad) = subfed_nn::loss::softmax_cross_entropy(&logits, &[0, 3]);
 //! assert!(l.is_finite());

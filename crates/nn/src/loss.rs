@@ -8,7 +8,7 @@ use subfed_tensor::Tensor;
 /// tensor, returning `(loss, grad_logits)`.
 ///
 /// The gradient is `(softmax(logits) - onehot(labels)) / batch`, ready to
-/// feed straight into `Sequential::backward`.
+/// feed straight into `Sequential::backward_ws`.
 ///
 /// # Panics
 ///

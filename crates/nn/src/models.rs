@@ -441,6 +441,7 @@ pub fn channel_graph(model: &Sequential) -> ChannelGraph {
 mod tests {
     use super::*;
     use crate::Mode;
+    use subfed_tensor::workspace::Workspace;
     use subfed_tensor::Tensor;
 
     #[test]
@@ -471,6 +472,7 @@ mod tests {
 
     #[test]
     fn forward_shapes_for_both_architectures() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(1);
         for (spec, shape) in [
             (ModelSpec::cnn5(1, 16, 16, 7), [2usize, 1, 16, 16]),
@@ -478,7 +480,7 @@ mod tests {
         ] {
             let mut model = spec.build(&mut rng);
             let x = Tensor::zeros(&shape);
-            let y = model.forward(&x, Mode::Eval);
+            let y = model.forward_ws(&x, Mode::Eval, &mut ws);
             assert_eq!(y.shape(), &[2, spec.classes()]);
         }
     }
@@ -522,17 +524,19 @@ mod tests {
 
     #[test]
     fn flop_shapes_consistent_with_built_model() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(4);
         let spec = ModelSpec::lenet5(3, 32, 32, 10);
         let mut model = spec.build(&mut rng);
         // If fc_shapes were wrong the forward pass would panic on feature
         // count; run it as an end-to-end consistency check.
-        let y = model.forward(&Tensor::zeros(&[1, 3, 32, 32]), Mode::Eval);
+        let y = model.forward_ws(&Tensor::zeros(&[1, 3, 32, 32]), Mode::Eval, &mut ws);
         assert_eq!(y.shape(), &[1, 10]);
     }
 
     #[test]
     fn vgg_lite_shapes_and_forward() {
+        let mut ws = Workspace::new();
         let spec = ModelSpec::vgg_lite(3, 16, 16, 10);
         let convs = spec.conv_shapes();
         assert_eq!(convs.len(), 4);
@@ -545,7 +549,7 @@ mod tests {
         let mut rng = SeededRng::new(9);
         let mut model = spec.build(&mut rng);
         assert_eq!(model.num_trainable(), spec.num_trainable());
-        let y = model.forward(&Tensor::zeros(&[2, 3, 16, 16]), Mode::Eval);
+        let y = model.forward_ws(&Tensor::zeros(&[2, 3, 16, 16]), Mode::Eval, &mut ws);
         assert_eq!(y.shape(), &[2, 10]);
     }
 
@@ -575,13 +579,14 @@ mod tests {
 
     #[test]
     fn lenet5_classic_runs_forward_and_backward() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(8);
         let mut m = lenet5_classic(1, 16, 16, 4, &mut rng);
         let x = Tensor::zeros(&[2, 1, 16, 16]);
-        let y = m.forward(&x, Mode::Train);
+        let y = m.forward_ws(&x, Mode::Train, &mut ws);
         assert_eq!(y.shape(), &[2, 4]);
-        let dx = m.backward(&y);
-        assert_eq!(dx.shape(), &[2, 1, 16, 16]);
+        m.backward_ws(&y, &mut ws);
+        assert!(m.params().iter().all(|p| p.grad.shape() == p.value.shape()));
         // No BatchNorm: channel_graph finds no prunable blocks, so the
         // classic variant is unstructured-only by construction.
         assert!(m.params().iter().all(|p| p.kind != ParamKind::BnGamma));

@@ -178,13 +178,15 @@ mod tests {
     use crate::layers::Linear;
     use crate::{Mode, ParamKind};
     use subfed_tensor::init::SeededRng;
+    use subfed_tensor::workspace::Workspace;
 
     fn model_with_grads(rng: &mut SeededRng) -> Sequential {
+        let mut ws = Workspace::new();
         let mut m = Sequential::new();
         m.push(Box::new(Linear::new(3, 2, rng)));
         let x = subfed_tensor::init::uniform(&[4, 3], -1.0, 1.0, rng);
-        let y = m.forward(&x, Mode::Train);
-        m.backward(&y);
+        let y = m.forward_ws(&x, Mode::Train, &mut ws);
+        m.backward_ws(&y, &mut ws);
         m
     }
 
@@ -228,6 +230,7 @@ mod tests {
 
     #[test]
     fn masked_coordinates_stay_zero() {
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(3);
         let mut m = model_with_grads(&mut rng);
         let mut mask = ModelMask::ones_for(&m);
@@ -237,8 +240,8 @@ mod tests {
         for _ in 0..5 {
             // Refresh gradients each step.
             let x = subfed_tensor::init::uniform(&[4, 3], -1.0, 1.0, &mut rng);
-            let y = m.forward(&x, Mode::Train);
-            m.backward(&y);
+            let y = m.forward_ws(&x, Mode::Train, &mut ws);
+            m.backward_ws(&y, &mut ws);
             opt.step(&mut m, Some(&mask), None);
             assert_eq!(m.params()[0].value.data()[0], 0.0, "masked weight moved");
         }
@@ -249,12 +252,13 @@ mod tests {
     #[test]
     fn buffers_are_not_updated() {
         use crate::layers::BatchNorm2d;
+        let mut ws = Workspace::new();
         let mut rng = SeededRng::new(4);
         let mut m = Sequential::new();
         m.push(Box::new(BatchNorm2d::new(2)));
         let x = subfed_tensor::init::uniform(&[2, 2, 3, 3], -1.0, 1.0, &mut rng);
-        let y = m.forward(&x, Mode::Train);
-        m.backward(&y);
+        let y = m.forward_ws(&x, Mode::Train, &mut ws);
+        m.backward_ws(&y, &mut ws);
         let mean_before: Vec<f32> =
             m.params().iter().find(|p| p.kind == ParamKind::BnMean).unwrap().value.data().to_vec();
         let mut opt = Sgd::new(0.1, 0.0);

@@ -54,39 +54,13 @@ impl Sequential {
         &mut self.layers
     }
 
-    /// Runs the forward pass through every layer.
-    pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the batch input; activations then move layer to layer
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
-    }
-
-    /// Runs the backward pass, filling every parameter's gradient, and
-    /// returns the gradient w.r.t. the model input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no training-mode forward preceded this call.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        // lint: allow(hot-path-alloc) — one clone of the output grad; grads then move layer to layer
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// [`Sequential::forward`] with an explicit scratch [`Workspace`]
-    /// threaded through every layer; numerically identical to the plain
-    /// forward, without per-layer heap allocation. The first layer reads
-    /// `input` in place.
+    /// Runs the forward pass through every layer with one scratch
+    /// [`Workspace`] threaded through them all. The first layer reads
+    /// `input` in place; an empty model returns a copy of it.
     pub fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let Some((first, rest)) = self.layers.split_first_mut() else {
-            // An empty model is the identity; the plain forward owns that copy.
-            return self.forward(input, mode);
+            // lint: allow(hot-path-alloc) — an empty model is the identity; its output is an owned copy
+            return input.clone();
         };
         let mut x = first.forward_ws(input, mode, ws);
         for layer in rest {
@@ -95,11 +69,11 @@ impl Sequential {
         x
     }
 
-    /// The training backward: fills every parameter's gradient, bit for
-    /// bit as [`Sequential::backward`] does, but computes no gradient
-    /// w.r.t. the model input. The last layer reads `grad_out` in place,
-    /// and the first layer runs [`Layer::backward_params_ws`], so the
-    /// image gradient local SGD would discard is never formed.
+    /// The training backward: fills every parameter's gradient, but
+    /// computes no gradient w.r.t. the model input. The last layer reads
+    /// `grad_out` in place, and the first layer runs
+    /// [`Layer::backward_params_ws`], so the image gradient local SGD
+    /// would discard is never formed.
     ///
     /// # Panics
     ///
@@ -299,8 +273,16 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let mut m = mlp(&mut rng);
         let x = Tensor::zeros(&[4, 6]);
-        let y = m.forward(&x, Mode::Eval);
+        let y = m.forward_ws(&x, Mode::Eval, &mut Workspace::new());
         assert_eq!(y.shape(), &[4, 3]);
+    }
+
+    #[test]
+    fn empty_model_forward_is_the_identity() {
+        let x = Tensor::from_slice(&[1.0, -2.0, 3.5]);
+        let y = Sequential::new().forward_ws(&x, Mode::Train, &mut Workspace::new());
+        assert_eq!(y.shape(), x.shape());
+        assert_eq!(y.data(), x.data());
     }
 
     #[test]
@@ -349,16 +331,17 @@ mod tests {
         let mut m = mlp(&mut rng);
         let x = uniform(&[8, 6], -1.0, 1.0, &mut rng);
         let labels = [0usize, 1, 2, 0, 1, 2, 0, 1];
-        let logits = m.forward(&x, Mode::Train);
+        let mut ws = Workspace::new();
+        let logits = m.forward_ws(&x, Mode::Train, &mut ws);
         let (loss0, grad) = softmax_cross_entropy(&logits, &labels);
-        m.backward(&grad);
+        m.backward_ws(&grad, &mut ws);
         for p in m.params_mut() {
             if p.kind.is_trainable() {
                 let g = p.grad.clone();
                 p.value.axpy(-0.5, &g);
             }
         }
-        let logits1 = m.forward(&x, Mode::Eval);
+        let logits1 = m.forward_ws(&x, Mode::Eval, &mut ws);
         let (loss1, _) = softmax_cross_entropy(&logits1, &labels);
         assert!(loss1 < loss0, "loss should drop: {loss0} -> {loss1}");
     }

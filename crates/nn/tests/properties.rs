@@ -7,6 +7,7 @@ use subfed_nn::models::ModelSpec;
 use subfed_nn::optim::Sgd;
 use subfed_nn::{Mode, ModelMask, Sequential};
 use subfed_tensor::init::{uniform, SeededRng};
+use subfed_tensor::workspace::Workspace;
 use subfed_tensor::Tensor;
 
 fn spec_strategy() -> impl Strategy<Value = ModelSpec> {
@@ -50,12 +51,13 @@ proptest! {
 
     #[test]
     fn forward_is_deterministic_in_eval(spec in spec_strategy(), seed in 0u64..1000) {
+        let mut ws = Workspace::new();
         let mut m = build(spec, seed);
         let [c, h, w] = spec.input_shape();
         let mut rng = SeededRng::new(seed ^ 3);
         let x = uniform(&[2, c, h, w], -1.0, 1.0, &mut rng);
-        let y1 = m.forward(&x, Mode::Eval);
-        let y2 = m.forward(&x, Mode::Eval);
+        let y1 = m.forward_ws(&x, Mode::Eval, &mut ws);
+        let y2 = m.forward_ws(&x, Mode::Eval, &mut ws);
         prop_assert_eq!(y1.data(), y2.data());
         prop_assert_eq!(y1.shape(), &[2, spec.classes()][..]);
         prop_assert!(y1.data().iter().all(|v| v.is_finite()));
@@ -67,6 +69,7 @@ proptest! {
         seed in 0u64..1000,
         keep_prob in 0.2f32..0.9,
     ) {
+        let mut ws = Workspace::new();
         let mut m = build(spec, seed);
         let mut mask = ModelMask::ones_for(&m);
         let mut rng = SeededRng::new(seed ^ 5);
@@ -86,9 +89,9 @@ proptest! {
         let labels: Vec<usize> = (0..4).map(|i| i % spec.classes()).collect();
         let mut opt = Sgd::new(0.05, 0.5);
         for _ in 0..2 {
-            let logits = m.forward(&x, Mode::Train);
+            let logits = m.forward_ws(&x, Mode::Train, &mut ws);
             let (_, grad) = softmax_cross_entropy(&logits, &labels);
-            m.backward(&grad);
+            m.backward_ws(&grad, &mut ws);
             opt.step(&mut m, Some(&mask), None);
         }
         for (p, t) in m.params().iter().zip(mask.tensors()) {
@@ -108,12 +111,13 @@ proptest! {
     ) {
         use subfed_nn::layers::BatchNorm2d;
         use subfed_nn::Layer as _;
+        let mut ws = Workspace::new();
         let mut bn = BatchNorm2d::new(2);
         let mut rng = SeededRng::new(seed);
         let x = uniform(&[4, 2, 4, 4], -1.0, 1.0, &mut rng)
             .scale(scale)
             .add_scalar(offset);
-        let y = bn.forward(&x, Mode::Train);
+        let y = bn.forward_ws(&x, Mode::Train, &mut ws);
         // Output statistics are unit regardless of the input affine.
         let plane = 16;
         for ch in 0..2 {

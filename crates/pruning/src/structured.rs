@@ -228,6 +228,7 @@ mod tests {
     use subfed_nn::models::ModelSpec;
     use subfed_nn::{Mode, ParamKind};
     use subfed_tensor::init::{uniform, SeededRng};
+    use subfed_tensor::workspace::Workspace;
 
     fn model() -> Sequential {
         ModelSpec::lenet5(1, 16, 16, 4).build(&mut SeededRng::new(5))
@@ -350,11 +351,12 @@ mod tests {
         let pm = expand_channel_mask(&m, &cm, &ModelMask::ones_for(&m));
         pm.apply(&mut m);
         let x = uniform(&[2, 1, 16, 16], -1.0, 1.0, &mut rng);
-        let y1 = m.forward(&x, Mode::Eval);
+        let mut ws = Workspace::new();
+        let y1 = m.forward_ws(&x, Mode::Eval, &mut ws);
         // Applying the mask twice changes nothing (idempotence of the
         // zeroed subnetwork).
         pm.apply(&mut m);
-        let y2 = m.forward(&x, Mode::Eval);
+        let y2 = m.forward_ws(&x, Mode::Eval, &mut ws);
         subfed_tensor::assert_slice_close(y1.data(), y2.data(), 1e-6, 0.0);
         assert!(y1.data().iter().all(|v| v.is_finite()));
     }

@@ -10,8 +10,6 @@
 //! * matrix multiplication including the transposed variants needed by
 //!   backprop ([`linalg::matmul`], [`linalg::matmul_tn`], [`linalg::matmul_nt`]),
 //!   as cache-blocked kernels with slice-level entry points,
-//! * a deterministic column-striped multithreaded GEMM that is
-//!   bit-identical to the sequential kernel ([`parallel`]),
 //! * mask-derived compressed-row kernels so pruned layers do
 //!   proportionally less work ([`sparse`]),
 //! * `im2col`/`col2im` lowering for convolutions, single-image and
@@ -43,7 +41,6 @@ mod tensor;
 pub mod conv;
 pub mod init;
 pub mod linalg;
-pub mod parallel;
 pub mod reduce;
 pub mod sparse;
 pub mod workspace;

@@ -24,8 +24,7 @@
 ///
 /// Not thread-safe by design: each worker thread (one client at a time)
 /// owns its workspace. Cross-thread pooling lives in `subfed-core` (the
-/// client round loop) and [`crate::parallel`] (the striped GEMM's
-/// checkout/restore pool).
+/// client round loop).
 #[derive(Debug, Default, Clone)]
 pub struct Workspace {
     free: Vec<Vec<f32>>,

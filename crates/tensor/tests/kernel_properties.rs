@@ -4,8 +4,6 @@
 //! - the blocked GEMMs agree with the naive triple loop on degenerate
 //!   shapes (zero inner dimension, single rows/columns, off-tile sizes
 //!   that exercise every partial-tile path);
-//! - [`gemm_mt`] is **bit-identical** to the sequential kernel for every
-//!   worker count — the disjoint-stripe argument, checked exactly;
 //! - the register-blocked sparse kernels are **bitwise** equal to their
 //!   scalar same-chain oracles — blocking must not move a single ULP;
 //! - the direct tap-list convolution matches the im2col + GEMM path on
@@ -18,7 +16,6 @@ use subfed_tensor::conv::{
 use subfed_tensor::linalg::{
     gemm, gemm_nt, gemm_tn, naive_matmul, naive_matmul_nt, naive_matmul_tn,
 };
-use subfed_tensor::parallel::gemm_mt;
 use subfed_tensor::sparse::{spmm, spmm_reference, spmm_t, spmm_t_reference, RowPattern};
 use subfed_tensor::Tensor;
 
@@ -65,24 +62,6 @@ fn blocked_gemms_match_naive_on_degenerate_shapes() {
         gemm_nt(m, k, n, &a, tb_t.data(), &mut out);
         let naive_nt = naive_matmul_nt(&ta, &tb_t);
         subfed_tensor::assert_slice_close(&out, naive_nt.data(), 1e-4, 1e-4);
-    }
-}
-
-#[test]
-fn gemm_mt_is_bit_identical_for_every_worker_count() {
-    // Shapes chosen so worker counts exceed, match, and divide the
-    // column-tile count (n = 16 is a single NR tile; 63/96/130 give
-    // tails and uneven stripe splits).
-    for &(m, k, n) in &[(6, 8, 16), (13, 37, 63), (32, 64, 96), (9, 300, 130)] {
-        let a = ramp(m * k, 0.01, 5);
-        let b = ramp(k * n, 0.02, 9);
-        let mut seq = vec![0.0f32; m * n];
-        gemm(m, k, n, &a, &b, &mut seq);
-        for threads in [1, 2, 4, 7] {
-            let mut par = vec![f32::NAN; m * n];
-            gemm_mt(threads, m, k, n, &a, &b, &mut par);
-            assert_eq!(seq, par, "gemm_mt({threads}) diverged at m={m} k={k} n={n}");
-        }
     }
 }
 

@@ -7,11 +7,12 @@
 //! local update through it. Runtime, not capability, is the only thing
 //! the scaled benches give up.
 
-use sub_fedavg::core::{evaluate_accuracy, train_client, FedConfig, Federation};
+use sub_fedavg::core::{evaluate_accuracy, train_client_ws, FedConfig, Federation};
 use sub_fedavg::data::{partition_pathological, PartitionConfig, SynthConfig, SynthVision};
 use sub_fedavg::nn::models::ModelSpec;
 use sub_fedavg::nn::Mode;
 use sub_fedavg::pruning::{ModelMask, PruneScope, Ranking};
+use sub_fedavg::tensor::workspace::Workspace;
 
 /// A paper-scale MNIST stand-in: 1×28×28, 10 classes, enough examples for
 /// 100 clients × 2 shards × 250 (§4.1's exact partition geometry).
@@ -69,7 +70,16 @@ fn paper_scale_partition_and_one_client_update() {
 
     // One full-scale local update: 500 examples, batch 10, one epoch.
     let global = fed.init_global();
-    let out = train_client(fed.spec(), &global, &fed.client_data(0), fed.config(), None, None, 1);
+    let out = train_client_ws(
+        fed.spec(),
+        &global,
+        &fed.client_data(0),
+        fed.config(),
+        None,
+        None,
+        1,
+        &mut Workspace::new(),
+    );
     assert!(out.mean_train_loss.is_finite());
     assert_ne!(out.final_flat, global);
 
@@ -125,7 +135,7 @@ fn paper_scale_lenet5_has_papers_parameter_count_and_runs() {
     model.load_flat(&global);
     // Forward at full 32x32 resolution on a real batch.
     let batch = fed.client_data(0).train.batches(10).into_iter().next().unwrap();
-    let logits = model.forward(&batch.images, Mode::Eval);
+    let logits = model.forward_ws(&batch.images, Mode::Eval, &mut Workspace::new());
     assert_eq!(logits.shape(), &[10, 10]);
     let acc = evaluate_accuracy(&mut model, &fed.client_data(0).val, 64);
     assert!((0.0..=1.0).contains(&acc));
